@@ -16,10 +16,6 @@ point                  where                                          honoured k
 ``driver.worker``      pool-worker entry in ``run_sharded``           kill, stall, raise
 ``service.job``        ``run_job`` before pipeline execution          raise, stall
 ``service.connection`` the server, just before writing a response     reset, stall
-``cachenet.request``   both cache-tier sides: the sharded client      client: truncate,
-                       before each backend request, and the           bitflip, reset,
-                       ``romfsm cached`` server per incoming frame    stall; server:
-                       (``side="server"`` in the context)             kill, stall
 =====================  =============================================  ==================
 
 Activation, in precedence order: an installed plan

@@ -16,10 +16,6 @@ Subcommands mirror the paper's artifacts::
     romfsm overlay FSM FSM ... [--max-blocks N] [--backend NAME]
                   [--json OUT.json]                 # multi-tenant packing
     romfsm serve [--port P] [--jobs N] [--max-queue Q] [--timeout S]
-                  [--cache-peers HOSTS]     # join the shared cache tier
-    romfsm cached [--port P] [--cache-dir D]    # cache-tier backend
-    romfsm campaign --instances URL,URL [ITEMS.json | --benchmarks ...]
-                  [--out FILE]   # shard a batch across N instances
     romfsm submit FILE.kiss2|--benchmark NAME [--port P]
     romfsm backends                                     # backend registry
     romfsm bench-stats                                  # suite statistics
@@ -29,6 +25,9 @@ The artifact cache is resolved from ``--cache-dir``, then the
 ``REPRO_CACHE_DIR`` environment variable, and is otherwise off for
 ``tables``/``eval`` (``cache`` falls back to ``~/.cache/romfsm``;
 ``serve`` caches there by default so requests share one store).
+Processes that should reuse each other's work share one directory:
+give every run and server the same ``--cache-dir`` or
+``REPRO_CACHE_DIR``.
 Logging verbosity comes from ``--log-level`` or ``$REPRO_LOG_LEVEL``
 (default WARNING, so normal output is unchanged).
 
@@ -238,35 +237,18 @@ def _print_eval_profile(report) -> None:
 
     Reuses the :class:`~repro.pipeline.driver.RunManifest` aggregation
     the ``tables`` command already records — no extra instrumentation;
-    stages appear in execution order.  The simulation stages also report
-    which engine produced their traces (codegen / interpreter /
-    oracle-fallback, per :mod:`repro.synth.codegen`); a cache-hit
-    simulate ran nothing, shown as ``(cached)``.
+    stages appear in execution order.
     """
     from repro.pipeline.driver import RunManifest
-    from repro.synth import codegen
 
-    notes = codegen.engine_notes()
-    engines = {
-        "simulate": ", ".join(
-            f"{tag}={engine}" for tag, engine in sorted(notes.items())
-        ),
-        "eco-simulate": notes.get("rom", ""),
-    }
     manifest = RunManifest.from_reports([report])
-    rows = []
-    for name, totals in manifest.stages.items():
-        engine = engines.get(name, "-")
-        if not engine:
-            engine = "(cached)" if totals.hits else "-"
-        rows.append(
-            [name, totals.hits, totals.misses, f"{totals.seconds:.3f}", engine]
-        )
+    rows = [
+        [name, totals.hits, totals.misses, f"{totals.seconds:.3f}"]
+        for name, totals in manifest.stages.items()
+    ]
     rows.append(["total", manifest.cache_hits, manifest.cache_misses,
-                 f"{report.seconds:.3f}", "-"])
-    print(format_table(
-        ["stage", "hits", "misses", "seconds", "sim engine"], rows
-    ))
+                 f"{report.seconds:.3f}"])
+    print(format_table(["stage", "hits", "misses", "seconds"], rows))
     print()
 
 
@@ -343,10 +325,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"{point.fitness.get('frequency_mhz', 0):g} MHz on "
             f"{tuned.backend})"
         )
-    if args.profile:
-        from repro.synth import codegen
-
-        codegen.reset_engine_notes()
     result, report = evaluate_benchmark_detailed(
         fsm,
         frequencies_mhz=args.freq,
@@ -453,10 +431,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
     from repro.flows.eco import EcoError, eco_evaluate
 
-    if args.profile:
-        from repro.synth import codegen
-
-        codegen.reset_engine_notes()
     try:
         result, report = eco_evaluate(
             old,
@@ -542,11 +516,9 @@ def _cmd_dump_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    # Maintenance touches only the local store: clearing one machine's
-    # disk cache must not reach through the tier to every peer.
-    cache = resolve_cache(args.cache_dir, peers=False)
+    cache = resolve_cache(args.cache_dir)
     if cache is None:
-        cache = resolve_cache(DEFAULT_CACHE_DIR, peers=False)
+        cache = resolve_cache(DEFAULT_CACHE_DIR)
     if args.action == "clear":
         removed = cache.clear()
         print(f"{cache.root}: removed {removed} cached artifact(s)")
@@ -578,7 +550,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         timeout_s=args.timeout,
         cache=cache,
-        cache_peers=args.cache_peers,
         executor=args.executor,
         max_body_bytes=args.max_body_bytes,
         drain_grace_s=args.drain_grace,
@@ -589,104 +560,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _cmd_cached(args: argparse.Namespace) -> int:
-    """``romfsm cached``: run one cache-tier backend."""
-    _install_faults(args)
-    import asyncio
-
-    from repro.cachenet.server import run_cache_server
-    from repro.pipeline.cache import ArtifactCache
-
-    # A backend IS a local store being shared; it never wraps itself in
-    # the tier (peers=False), and it needs a concrete directory.
-    cache = resolve_cache(args.cache_dir, peers=False)
-    if cache is None:
-        cache = ArtifactCache(DEFAULT_CACHE_DIR)
-    logger.info(kv("cached_cli", host=args.host, port=args.port,
-                   root=str(cache.root)))
-    try:
-        asyncio.run(run_cache_server(cache, args.host, args.port))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    """``romfsm campaign``: shard a batch across N service instances."""
-    import json
-
-    from repro.cachenet.campaign import CampaignError, run_campaign
-
-    if args.items:
-        path = Path(args.items)
-        if not path.exists():
-            raise CliError(f"no such campaign file: {args.items}")
-        try:
-            items = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read campaign file {args.items}: {exc}")
-        if isinstance(items, dict):
-            items = items.get("items", items)
-        if not isinstance(items, list):
-            raise CliError(
-                "a campaign file is a JSON list of /v1/batch item objects "
-                "(or an object with an 'items' list)"
-            )
-    else:
-        names = args.benchmarks or list(PAPER_BENCHMARKS)
-        unknown = [n for n in names if n not in PAPER_BENCHMARKS]
-        if unknown:
-            raise CliError(
-                f"unknown benchmark(s): {', '.join(unknown)} "
-                f"(available: {', '.join(PAPER_BENCHMARKS)})"
-            )
-        items = [
-            {
-                "kind": "evaluate",
-                "benchmark": name,
-                "num_cycles": args.cycles,
-                "seed": args.seed,
-                "frequencies_mhz": args.freq,
-            }
-            for name in names
-        ]
-
-    out = open(args.out, "w") if args.out else None
-    ok = failed = 0
-    done_line = None
-    try:
-        stream = run_campaign(
-            items, args.instances, timeout_s=args.timeout,
-        )
-        for line in stream:
-            text = json.dumps(line, sort_keys=True)
-            print(text, flush=True)
-            if out is not None:
-                out.write(text + "\n")
-            if "item" in line:
-                if line.get("ok"):
-                    ok += 1
-                else:
-                    failed += 1
-            elif line.get("done"):
-                done_line = line
-    except CampaignError as exc:
-        raise CliError(str(exc))
-    finally:
-        if out is not None:
-            out.close()
-    if done_line is not None:
-        print(
-            f"[campaign] {done_line['items']} item(s): {ok} ok, "
-            f"{failed} failed, {done_line['redispatched']} re-dispatched "
-            f"across {len(done_line['instances'])} instance(s)",
-            file=sys.stderr,
-        )
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if failed == 0 and done_line is not None else 1
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1020,54 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="B", help="reject larger request bodies with 413")
     p.add_argument("--drain-grace", type=float, default=30.0, metavar="S",
                    help="seconds to let in-flight work finish on SIGTERM")
-    p.add_argument("--cache-peers", metavar="HOSTS",
-                   help="comma-separated `romfsm cached` backends "
-                        "(host:port,host:port): artifact-cache misses "
-                        "read through the shared tier and stores write "
-                        "behind to it (default: $REPRO_CACHE_PEERS)")
     _add_cache_options(p)
     _add_fault_options(p)
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "cached",
-        help="run a shared cache-tier backend (length-prefixed GET/PUT "
-             "over the local artifact store; see docs/architecture.md §16)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="listen port (default 0: pick a free port and "
-                        "announce it on stdout as JSON)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="artifact store to serve (default: "
-                        "$REPRO_CACHE_DIR, else ~/.cache/romfsm)")
-    _add_fault_options(p)
-    p.set_defaults(func=_cmd_cached)
-
-    p = sub.add_parser(
-        "campaign",
-        help="shard a /v1/batch campaign across several serve instances "
-             "by consistent hash, with failover re-dispatch; prints the "
-             "merged NDJSON stream",
-    )
-    p.add_argument("items", nargs="?", metavar="ITEMS.json",
-                   help="JSON list of batch item objects (default: "
-                        "evaluate the paper benchmark suite)")
-    p.add_argument("--instances", required=True, metavar="URL,URL",
-                   help="comma-separated serve instances "
-                        "(host:port or http://host:port)")
-    p.add_argument("--benchmarks", nargs="+", metavar="NAME",
-                   help="evaluate these paper benchmarks instead of an "
-                        "items file (default: the whole suite)")
-    p.add_argument("--freq", type=float, nargs="+",
-                   default=list(PAPER_FREQUENCIES_MHZ))
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=2004)
-    p.add_argument("--timeout", type=float, default=300.0, metavar="S",
-                   help="per-shard request budget in seconds (default 300)")
-    p.add_argument("--out", metavar="FILE",
-                   help="also write the merged NDJSON stream to this file")
-    p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser(
         "submit", help="send one evaluate/map request to a running server"

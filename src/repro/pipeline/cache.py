@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import re
 import tempfile
 import time
 import zlib
@@ -47,7 +46,6 @@ from repro.logutil import get_logger, kv
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_PEERS_ENV",
     "DEFAULT_CACHE_DIR",
     "DEGRADE_THRESHOLD",
     "MEMORY_MAX_BYTES",
@@ -58,10 +56,6 @@ __all__ = [
 ]
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-# Comma-separated cache-tier backends ("host:port,host:port"); when set,
-# resolve_cache() wraps the disk cache in an L2 read-through/write-behind
-# client (see repro.cachenet).
-CACHE_PEERS_ENV = "REPRO_CACHE_PEERS"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "romfsm"
 
 # Consecutive I/O errors before the cache falls back to memory.
@@ -74,13 +68,6 @@ MEMORY_MAX_ENTRIES = 1024
 MEMORY_MAX_BYTES = 64 * 1024 * 1024
 
 _PICKLE_PROTOCOL = 4
-
-# Cache keys are hex digests (Stage.cache_key is a SHA-256 hexdigest).
-# The raw-transport seams enforce this before building a path from the
-# key, because cachenet hands them network-supplied strings: anything
-# else ("../../../etc/x", an absolute path, a drive letter) must never
-# reach the filesystem.
-_KEY_RE = re.compile(r"[0-9a-f]{16,64}")
 
 # Validated-probe memo budget: __contains__ remembers the stat identity
 # of entries whose envelope it has already checksummed, so hot
@@ -158,15 +145,6 @@ class ArtifactCache:
         # file whose envelope last verified; see __contains__.
         self._validated: "OrderedDict[str, Tuple[int, int, int, int]]" = \
             OrderedDict()
-
-    @staticmethod
-    def valid_key(key: str) -> bool:
-        """Whether ``key`` has the content-addressed hex-digest form.
-
-        The boundary check for network-supplied keys: only strings that
-        match the fingerprint alphabet may become file paths.
-        """
-        return bool(_KEY_RE.fullmatch(key))
 
     def _path(self, key: str) -> Path:
         return self.objects_dir / key[:2] / f"{key}.pkl"
@@ -290,8 +268,8 @@ class ArtifactCache:
     def verify_envelope(data: bytes) -> bool:
         """Envelope integrity (magic + CRC32) without deserializing.
 
-        This is how ``__contains__`` and the cachenet tier validate
-        entries they will not (or must not) unpickle.
+        This is how ``__contains__`` validates entries it does not need
+        to unpickle.
         """
         if len(data) < _HEADER_LEN or data[:len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
             return False
@@ -300,10 +278,10 @@ class ArtifactCache:
 
     def _drop_corrupt(self, path: Path, read_stat) -> None:
         """Unlink a corrupt entry — only if it is provably the file we
-        read.  A concurrent writer (a pool worker, or a remote cachenet
-        backend fill landing via :meth:`put_raw`) may have replaced it
-        with a fresh valid object between our read and the unlink;
-        deleting that one would throw good work away."""
+        read.  A concurrent writer (a pool worker, or another process
+        sharing the cache directory) may have replaced it with a fresh
+        valid object between our read and the unlink; deleting that one
+        would throw good work away."""
         try:
             current = os.stat(path)
             if read_stat is not None and (
@@ -449,98 +427,6 @@ class ArtifactCache:
         self._drop_corrupt(path, read_stat)
         return False
 
-    # -- raw envelope transport (the cachenet tier) ---------------------
-
-    def get_raw(self, key: str) -> Optional[bytes]:
-        """Checksummed envelope bytes for ``key``, or ``None``.
-
-        The cachenet server moves entries without ever unpickling
-        network-supplied data, so the wire payload *is* the on-disk
-        envelope; the CRC travels end to end.  Raw reads do not consult
-        the degraded-mode memory store (its values are already decoded;
-        a degraded backend simply answers misses and lets clients fall
-        back to their local tier).
-
-        The raw seams face the network (the ``romfsm cached`` server
-        calls them with client-supplied keys), so the key is validated
-        here too — defense in depth behind the server's own boundary
-        check; a non-fingerprint key can never become a file path.
-        """
-        if self.degraded:
-            return None
-        if not self.valid_key(key):
-            self.stats.errors += 1
-            return None
-        path = self._path(key)
-        read_stat = None
-        try:
-            faults.hit("cache.get", key=key)
-            with path.open("rb") as fh:
-                read_stat = os.fstat(fh.fileno())
-                data = fh.read()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError as exc:
-            self._io_failure("get", exc)
-            self.stats.misses += 1
-            return None
-        if not self.verify_envelope(data):
-            self.stats.errors += 1
-            self.stats.misses += 1
-            self._forget_valid(key)
-            self._drop_corrupt(path, read_stat)
-            return None
-        self.stats.hits += 1
-        self._io_success()
-        self._note_valid(key, read_stat)
-        return data
-
-    def put_raw(self, key: str, data: bytes) -> bool:
-        """Store pre-encoded envelope bytes; ``False`` if not stored.
-
-        Validates the envelope before writing (a corrupted frame must
-        never become a disk entry) and uses the same atomic
-        temp-file + ``os.replace`` dance as :meth:`put`, so a remote
-        backend fill racing a local corrupt-entry unlink behaves
-        exactly like a concurrent local writer.  The key is validated
-        like :meth:`get_raw`'s: this seam receives network-supplied
-        keys, and a traversal string must never be written through.
-        """
-        if self.degraded or not self.valid_key(key):
-            return False
-        if not self.verify_envelope(data):
-            return False
-        path = self._path(key)
-        tmp_name = None
-        try:
-            faults.hit("cache.put", key=key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=".tmp-", suffix=".pkl"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._io_failure("put", exc)
-            return False
-        except BaseException:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            raise
-        self.stats.stores += 1
-        self._io_success()
-        return True
-
     # -- maintenance ---------------------------------------------------
 
     def _shards(self) -> Iterator[Path]:
@@ -632,7 +518,6 @@ class ArtifactCache:
 def resolve_cache(
     cache_dir: Union[None, bool, str, Path, ArtifactCache] = None,
     no_cache: bool = False,
-    peers: Union[None, bool, str] = None,
 ) -> Optional[ArtifactCache]:
     """Resolve the cache to use for a run.
 
@@ -650,41 +535,20 @@ def resolve_cache(
     wins, else the default user cache directory.  The long-lived server
     uses it so every request shares one artifact store by default.
 
-    ``peers`` selects the shared cache tier (:mod:`repro.cachenet`):
-    a ``"host:port,host:port"`` spec (or ``None`` to consult the
-    ``REPRO_CACHE_PEERS`` environment variable) wraps the resolved disk
-    cache in an :class:`~repro.cachenet.l2.L2Cache` — read-through to
-    the tier on local miss, write-behind on put.  ``peers=False``
-    disables the tier even when the environment names backends (used
-    by maintenance commands that must touch only the local store).
-    Because activation rides on an environment variable, pool workers
-    that re-resolve a plain path spec join the same tier with no
-    call-site changes.
+    Processes share work by sharing a directory: point every run,
+    server and pool worker at the same ``REPRO_CACHE_DIR`` (locally or
+    on a shared mount).  Atomic writes and the CRC envelope make
+    concurrent readers and writers safe without any coordination.
     """
     if no_cache or cache_dir is False:
         return None
     if isinstance(cache_dir, ArtifactCache):
         return cache_dir
-    local: Optional[ArtifactCache] = None
     if cache_dir is not None and cache_dir is not True:
-        local = ArtifactCache(cache_dir)
-    else:
-        env = os.environ.get(CACHE_DIR_ENV)
-        if env:
-            local = ArtifactCache(env)
-        elif cache_dir is True:
-            local = ArtifactCache(DEFAULT_CACHE_DIR)
-    if local is None:
-        return None
-    if peers is False:
-        return local
-    spec = peers if isinstance(peers, str) else os.environ.get(CACHE_PEERS_ENV)
-    if not spec:
-        return local
-    from repro.cachenet.l2 import L2Cache
-
-    try:
-        return L2Cache.from_spec(local, spec)
-    except ValueError as exc:
-        logger.warning(kv("cache_peers_invalid", spec=spec, error=str(exc)))
-        return local
+        return ArtifactCache(cache_dir)
+    env = os.environ.get(CACHE_DIR_ENV)
+    if env:
+        return ArtifactCache(env)
+    if cache_dir is True:
+        return ArtifactCache(DEFAULT_CACHE_DIR)
+    return None

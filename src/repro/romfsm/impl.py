@@ -256,30 +256,53 @@ class RomFsmImplementation:
         words and enable decisions.  Any disagreement (or an out-of-range
         input vector) drops to :meth:`run_reference`, the per-cycle
         oracle, so behaviour — including BRAM statistics and error
-        semantics — is always identical to the reference evaluator.
+        semantics — is always identical to the reference evaluator.  A
+        codegen failure takes the same oracle and is counted in
+        ``codegen.stats().fallbacks``.
         """
-        num_cycles = len(stimulus)
-        if num_cycles == 0:
+        if not stimulus:
             return self.run_reference(stimulus, collect_nets)
-        fsm = self.fsm
-        limit = 1 << fsm.num_inputs if fsm.num_inputs else 1
+        limit = 1 << self.fsm.num_inputs
         for input_bits in stimulus:
-            if not 0 <= input_bits < max(limit, 1):
+            if not 0 <= input_bits < limit:
                 # The reference reproduces the partial-run statistics and
                 # the exact ValueError the per-cycle loop raises.
                 return self.run_reference(stimulus, collect_nets)
+        try:
+            result = self._run_words(stimulus, collect_nets)
+        except Exception:
+            codegen.count_fallback("rom")
+            result = None
+        if result is None:
+            return self.run_reference(stimulus, collect_nets)
+        trace, last_read = result
+        # Trajectory confirmed: commit the BRAM statistics the per-cycle
+        # clock() calls would have accumulated.
+        self._rom.total_edges += trace.num_cycles
+        self._rom.enabled_edges += trace.enabled_edges
+        if last_read is not None:
+            self._rom.output = last_read
+        return trace
 
+    def _run_words(
+        self, stimulus: List[int], collect_nets: bool
+    ) -> Optional[Tuple[RomTrace, Optional[int]]]:
+        """The word-parallel evaluation behind :meth:`run`.
+
+        Returns the trace and the last word read from the ROM, or
+        ``None`` when the ROM disagrees with the STG-derived trajectory.
+        Raises on any codegen failure.  Touches no BRAM state: the
+        caller commits the statistics once the result is final.
+        """
+        num_cycles = len(stimulus)
+        fsm = self.fsm
         encoding = self.encoding
         layout = self.layout
         width = encoding.width
 
-        # Trajectory guess from the STG; verified below against the ROM.
-        # The codegen engine steps a tabulated STG when one fits.
-        table = (
-            codegen.stg_table(fsm, encoding)
-            if codegen.current_engine() == "codegen"
-            else None
-        )
+        # Trajectory guess from the STG, stepping a tabulated STG when
+        # one fits; verified below against the ROM.
+        table = codegen.stg_table(fsm, encoding)
         codes: List[int] = [encoding.encode(fsm.reset_state)]
         ref_outs: List[int] = []
         if table is not None:
@@ -314,7 +337,7 @@ class RomFsmImplementation:
         if self.compaction is not None:
             assert self.mux_mapping is not None
             mux_nets = codegen.evaluate_words(
-                self.mux_mapping, base_words(), mask, tag="rom"
+                self.mux_mapping, base_words(), mask
             )
             out_nets = self.mux_mapping.outputs
             compacted_list = transpose_words(
@@ -341,7 +364,7 @@ class RomFsmImplementation:
                 fb = [0] + ref_outs[:-1]
                 for o in range(fsm.num_outputs):
                     words[f"fb_out{o}"] = pack_bit_column(fb, o)
-            ctl_nets = codegen.evaluate_words(cc.mapping, words, mask, tag="rom")
+            ctl_nets = codegen.evaluate_words(cc.mapping, words, mask)
             en_word = ctl_nets[cc.mapping.outputs["en"]]
         else:
             en_word = mask
@@ -349,7 +372,7 @@ class RomFsmImplementation:
         moore_nets: Optional[Dict[str, int]] = None
         if self.moore_output_mapping is not None:
             moore_nets = codegen.evaluate_words(
-                self.moore_output_mapping, base_words(), mask, tag="rom"
+                self.moore_output_mapping, base_words(), mask
             )
             out_nets = self.moore_output_mapping.outputs
             observed_list = transpose_words(
@@ -363,63 +386,26 @@ class RomFsmImplementation:
             observed_list = ref_outs
 
         # Replay the memory reads: verify the guessed trajectory against
-        # the actual programmed words.  By induction, a full match means
-        # the per-cycle evaluator would compute exactly these states,
-        # outputs and net values.  The codegen engine runs a compiled
-        # replay specialized to this word layout; the interpreted loop
-        # below is the fallback (and the engine when codegen is off).
-        rom_words = self._rom.words
-        outcome: Optional[Tuple[int, Optional[int]]] = None
-        compiled_ok = False
-        if codegen.current_engine() == "codegen":
-            clocked = self.clock_control is not None
-            try:
-                replay = codegen.compiled_replay(clocked, layout.output_bits)
-                if clocked:
-                    full_state_words = codegen.pack_bit_columns(codes, width)
-                    out_bit_words = codegen.pack_bit_columns(
-                        ref_outs, layout.output_bits
-                    )
-                else:
-                    full_state_words = out_bit_words = []
-                outcome = replay(
-                    rom_words, addrs, codes, ref_outs,
-                    en_word, mask, full_state_words, out_bit_words,
-                )
-                compiled_ok = True
-            except Exception:
-                codegen.count_fallback()
-        if not compiled_ok:
-            state_code = codes[0]
-            latched = 0
-            last_read: Optional[int] = None
-            enabled = 0
-            for k in range(num_cycles):
-                if en_word >> k & 1:
-                    enabled += 1
-                    word = rom_words[addrs[k]]
-                    next_code, out_field = layout.split_word(word)
-                    last_read = word
-                else:
-                    next_code, out_field = state_code, latched
-                if next_code != codes[k + 1] or out_field != ref_outs[k]:
-                    break
-                state_code = next_code
-                latched = out_field
-            else:
-                outcome = (enabled, last_read)
-        codegen.note_engine("rom", "codegen" if compiled_ok else "interpreter")
+        # the actual programmed words with the compiled replay for this
+        # word layout.  By induction, a full match means the per-cycle
+        # evaluator would compute exactly these states, outputs and net
+        # values.
+        clocked = self.clock_control is not None
+        replay = codegen.compiled_replay(clocked, layout.output_bits)
+        if clocked:
+            full_state_words = codegen.pack_bit_columns(codes, width)
+            out_bit_words = codegen.pack_bit_columns(
+                ref_outs, layout.output_bits
+            )
+        else:
+            full_state_words = out_bit_words = []
+        outcome = replay(
+            self._rom.words, addrs, codes, ref_outs,
+            en_word, mask, full_state_words, out_bit_words,
+        )
         if outcome is None:
-            codegen.note_engine("rom", "oracle-fallback")
-            return self.run_reference(stimulus, collect_nets)
+            return None
         enabled, last_read = outcome
-
-        # Trajectory confirmed: commit the BRAM statistics the per-cycle
-        # clock() calls would have accumulated.
-        self._rom.total_edges += num_cycles
-        self._rom.enabled_edges += enabled
-        if last_read is not None:
-            self._rom.output = last_read
 
         signal_toggles: Dict[str, int] = {}
 
@@ -461,7 +447,7 @@ class RomFsmImplementation:
             enabled_edges=enabled,
             address_stream=addrs,
             enable_stream=unpack_word(en_word, num_cycles),
-        )
+        ), last_read
 
     def run_reference(
         self, stimulus: List[int], collect_nets: bool = True

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import faults
 from repro.logutil import configure_logging, get_logger, kv
-from repro.pipeline.cache import CACHE_PEERS_ENV, resolve_cache
+from repro.pipeline.cache import resolve_cache
 from repro.pipeline.driver import RunManifest, WorkerCrashError
 from repro.pipeline.pipeline import PipelineCancelled
 from repro.service import http
@@ -62,10 +62,6 @@ class ServerConfig:
     max_queue: int = 32                # admitted-but-not-running unique jobs
     timeout_s: float = 120.0           # per-request wall-clock budget
     cache: Any = True                  # resolve_cache() spec; True = shared default
-    # Cache-tier backends ("host:port,host:port"): wraps the artifact
-    # cache in the shared L2 tier (repro.cachenet) and exports
-    # REPRO_CACHE_PEERS so pool workers join the same tier.
-    cache_peers: Optional[str] = None
     max_body_bytes: int = http.DEFAULT_MAX_BODY_BYTES
     executor: str = "process"          # "process" | "thread"
     drain_grace_s: float = 30.0
@@ -125,14 +121,7 @@ class CompileServer:
         # runner(job, cache=..., should_cancel=...) -> (payload, records);
         # injectable so tests can count/stall executions.
         self._runner = runner
-        if self.config.cache_peers:
-            # Exported before the forkserver spawns (start() runs later),
-            # so pool workers re-resolving the plain path spec join the
-            # same tier automatically.
-            os.environ[CACHE_PEERS_ENV] = self.config.cache_peers
-        self._cache = resolve_cache(
-            self.config.cache, peers=self.config.cache_peers or None
-        )
+        self._cache = resolve_cache(self.config.cache)
         self._cache_spec: Any = (
             str(self._cache.root) if self._cache is not None else False
         )
@@ -799,7 +788,6 @@ class CompileServer:
             "cache_degraded": (
                 self._cache.degraded if self._cache is not None else None
             ),
-            "cache_peers": self.config.cache_peers,
         }
 
     def render_metrics(self) -> str:
@@ -860,54 +848,6 @@ class CompileServer:
                 f"romfsm_cache_memory_evictions_total "
                 f"{self._cache.stats.evictions}"
             )
-            l2_stats = getattr(self._cache, "l2_stats", None)
-            if l2_stats is not None:
-                # The shared cache tier (repro.cachenet) is active.
-                for metric, help_text in (
-                    ("hits", "Local misses answered by the cache tier."),
-                    ("misses", "Lookups the cache tier also missed."),
-                    ("errors", "Corrupt or failed cache-tier replies."),
-                    ("puts", "Write-behind puts accepted by the tier queue."),
-                    ("put_drops", "Write-behind puts dropped (full queue "
-                                  "or unreachable backend)."),
-                ):
-                    lines.append(
-                        f"# HELP romfsm_l2_{metric}_total {help_text}")
-                    lines.append(f"# TYPE romfsm_l2_{metric}_total counter")
-                    lines.append(
-                        f"romfsm_l2_{metric}_total "
-                        f"{getattr(l2_stats, metric)}"
-                    )
-                tier = self._cache.remote.stats()
-                lines.append(
-                    "# HELP romfsm_l2_backend_open Whether a cache-tier "
-                    "backend's circuit breaker is open (degraded to "
-                    "local-only for its key range).")
-                lines.append("# TYPE romfsm_l2_backend_open gauge")
-                for name, backend in sorted(tier["backends"].items()):
-                    labels = render_labels({"backend": name})
-                    is_open = int(backend["breaker"] != "closed")
-                    lines.append(f"romfsm_l2_backend_open{labels} {is_open}")
-        # Simulation-engine health (authoritative for the thread
-        # executor; process-pool workers hold their own counters).
-        from repro.synth import codegen
-
-        cg = codegen.stats()
-        lines.append(
-            "# HELP romfsm_codegen_fallbacks_total Simulations where the "
-            "compiled engine failed and the interpreter took over.")
-        lines.append("# TYPE romfsm_codegen_fallbacks_total counter")
-        lines.append(f"romfsm_codegen_fallbacks_total {cg.fallbacks}")
-        lines.append(
-            "# HELP romfsm_codegen_compiles_total Netlist/replay functions "
-            "compiled (memo and disk misses).")
-        lines.append("# TYPE romfsm_codegen_compiles_total counter")
-        lines.append(f"romfsm_codegen_compiles_total {cg.compiles}")
-        lines.append(
-            "# HELP romfsm_codegen_calls_total Word-parallel netlist "
-            "evaluations answered by the compiled engine.")
-        lines.append("# TYPE romfsm_codegen_calls_total counter")
-        lines.append(f"romfsm_codegen_calls_total {cg.calls}")
         return self.metrics.render(extra_lines=lines)
 
 

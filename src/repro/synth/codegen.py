@@ -3,9 +3,7 @@
 :func:`repro.synth.wordsim.evaluate_mapping_words` interprets a mapped
 netlist dict-by-dict: one Python loop iteration and one
 :meth:`~repro.logic.truthtable.TruthTable.evaluate_word` call per LUT
-per evaluation.  For a netlist that is simulated many times (every
-stimulus, every frequency point, every auto-tuning candidate) that
-interpretive overhead dominates.  This module compiles each
+per evaluation.  This module compiles each
 :class:`~repro.logic.lutmap.LutMapping` **once** into a straight-line
 Python function of bitwise big-int operations:
 
@@ -18,28 +16,27 @@ Python function of bitwise big-int operations:
 - complemented literals are hoisted — ``v ^ mask`` is computed at most
   once per net, not once per appearance.
 
-The generated function returns exactly the net dictionary the
-interpreter returns, so every downstream consumer (toggle counting,
-verification, activity extraction) is unchanged.
+The generated function returns exactly the net dictionary
+``evaluate_mapping_words`` returns (which stays as the reference the
+compiler is tested against), so every downstream consumer (toggle
+counting, verification, activity extraction) is unchanged.
 
-Compilation results are cached at three levels: per-object (``id`` +
-weakref, so repeated runs of one implementation never re-fingerprint),
-per-fingerprint in process (structurally identical netlists share one
-code object), and — when an artifact cache directory is configured via
-``REPRO_CACHE_DIR`` — the generated *source text* is stored in the
-content-addressed artifact cache keyed by the netlist fingerprint, so a
-fresh process skips generation and only pays ``compile()``.
+Compilations are memoized per object (``id`` + weakref, so repeated
+runs of one implementation never re-fingerprint) and per fingerprint
+(structurally identical netlists share one code object).  The
+fingerprint memo is an LRU capped at :data:`MEMO_MAX_ENTRIES`, so a
+long-lived service worker that sees a stream of fresh machines keeps a
+bounded set of compilations.
 
-Engine contract (same cross-check-and-fall-back shape as PR 3): the
-callers (:func:`repro.synth.netsim.simulate_ff_netlist`,
-:meth:`repro.romfsm.impl.RomFsmImplementation.run`) verify the
+Contract with the callers (:func:`repro.synth.netsim.simulate_ff_netlist`,
+:meth:`repro.romfsm.impl.RomFsmImplementation.run`): they verify the
 word-parallel result against the netlist's own next-state words / the
 actual ROM words and drop to the per-cycle oracle on any disagreement.
 Any failure *inside* codegen (generation, compilation, execution)
-additionally falls back to the interpreter and bumps
-:attr:`CodegenStats.fallbacks`, which the service exposes as
-``romfsm_codegen_fallbacks_total``.  Streams, toggle counts and BRAM
-edge statistics are therefore bit-identical across engines.
+raises; the caller then takes the same per-cycle oracle and records the
+event with :func:`count_fallback` (:attr:`CodegenStats.fallbacks`).
+Streams, toggle counts and BRAM edge statistics are therefore always
+those of the reference evaluators.
 
 The ROM replay loop gets the same treatment: :func:`compiled_replay`
 emits a verification function specialized to the ROM word layout
@@ -47,24 +44,19 @@ emits a verification function specialized to the ROM word layout
 Python loop with a list compare on the always-enabled path and
 packed-word latch checks plus sparse set-bit iteration when clock
 control gates the port.
-
-The engine is selected by the ``REPRO_SIM_ENGINE`` environment variable
-(``codegen``, the default, or ``interpreter``) or programmatically with
-:func:`use_engine`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import threading
 import weakref
-from contextlib import contextmanager
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
-from repro.synth.wordsim import evaluate_mapping_words, pack_bit_column, popcount
+from repro.logutil import get_logger, kv
+from repro.synth.wordsim import pack_bit_column, popcount
 
 try:  # the container ships numpy; packing degrades gracefully without it
     import numpy as _np
@@ -72,69 +64,34 @@ except Exception:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
 __all__ = [
-    "ENGINE_ENV",
-    "ENGINES",
+    "MEMO_MAX_ENTRIES",
     "CodegenStats",
     "CompiledMapping",
     "compile_mapping",
     "compiled_replay",
     "count_fallback",
-    "current_engine",
-    "engine_notes",
     "evaluate_words",
     "generate_source",
     "mapping_fingerprint",
-    "note_engine",
     "pack_bit_columns",
-    "reset_engine_notes",
     "reset_stats",
     "stats",
     "stg_table",
-    "use_engine",
 ]
 
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-ENGINES = ("codegen", "interpreter")
+# Compilations kept by the per-fingerprint LRU.  Each entry holds the
+# generated source and its code object (tens of KB for a typical
+# netlist), so the cap bounds a long-lived worker's memory.
+MEMO_MAX_ENTRIES = 256
 
-# Bump to invalidate generated sources persisted in the artifact cache
-# (the codegen analogue of STAGE_VERSIONS).
-SOURCE_VERSION = "1"
+logger = get_logger("synth.codegen")
 
 _FN_NAME = "_netfn"
 _REPLAY_NAME = "_replay"
 
 
 # ----------------------------------------------------------------------
-# Engine selection
-# ----------------------------------------------------------------------
-
-_forced_engine: Optional[str] = None
-
-
-def current_engine() -> str:
-    """The active simulation engine: ``codegen`` or ``interpreter``."""
-    if _forced_engine is not None:
-        return _forced_engine
-    value = os.environ.get(ENGINE_ENV, "codegen").strip().lower()
-    return value if value in ENGINES else "codegen"
-
-
-@contextmanager
-def use_engine(name: str) -> Iterator[None]:
-    """Force an engine for the duration of the block (tests, benches)."""
-    if name not in ENGINES:
-        raise ValueError(f"unknown sim engine {name!r}; choose from {ENGINES}")
-    global _forced_engine
-    previous = _forced_engine
-    _forced_engine = name
-    try:
-        yield
-    finally:
-        _forced_engine = previous
-
-
-# ----------------------------------------------------------------------
-# Statistics and per-run engine notes
+# Statistics
 # ----------------------------------------------------------------------
 
 
@@ -142,18 +99,14 @@ def use_engine(name: str) -> Iterator[None]:
 class CodegenStats:
     """Process-wide codegen counters (monotonic since start or reset).
 
-    ``fallbacks`` counts evaluations where codegen itself failed and the
-    interpreter silently took over — the number the CI guard and the
-    ``romfsm_codegen_fallbacks_total`` metric watch.  The *oracle*
-    fallback (word-parallel verify mismatch) is not counted here; it is
-    engine-independent and reported through :func:`engine_notes`.
+    ``fallbacks`` counts simulations where codegen itself raised and the
+    per-cycle oracle served the run instead.  A verification mismatch
+    (a netlist that disagrees with its own STG) also takes the oracle
+    but is not a codegen failure and is not counted here.
     """
 
     compiles: int = 0
     memo_hits: int = 0
-    disk_hits: int = 0
-    calls: int = 0
-    interpreter_calls: int = 0
     fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -174,28 +127,14 @@ def reset_stats() -> None:
     _stats = CodegenStats()
 
 
-def count_fallback() -> None:
-    """Record a codegen failure that an interpreter path absorbed."""
+def count_fallback(sim: str) -> None:
+    """Record a codegen failure that the per-cycle oracle absorbed.
+
+    Call from the ``except`` block that caught it: the traceback is
+    logged, since a fallback on a supported netlist is a codegen bug.
+    """
     _stats.fallbacks += 1
-
-
-# Which engine actually served the most recent simulation of each kind
-# ("ff", "rom", ...): "codegen", "interpreter", or "oracle-fallback".
-# Out-of-band on purpose — engine choice must not leak into trace
-# objects, whose fingerprints and equality drive the artifact cache.
-_engine_notes: Dict[str, str] = {}
-
-
-def note_engine(tag: str, engine: str) -> None:
-    _engine_notes[tag] = engine
-
-
-def engine_notes() -> Dict[str, str]:
-    return dict(_engine_notes)
-
-
-def reset_engine_notes() -> None:
-    _engine_notes.clear()
+    logger.warning(kv("codegen_fallback", sim=sim), exc_info=True)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +243,7 @@ def _compile_source(source: str, fn_name: str) -> Callable:
     namespace: Dict[str, object] = {"__builtins__": _SAFE_BUILTINS}
     exec(code, namespace)
     fn = namespace[fn_name]
-    if not callable(fn):  # pragma: no cover - corrupted cached source
+    if not callable(fn):  # pragma: no cover - generator bug
         raise TypeError(f"generated object {fn_name!r} is not callable")
     return fn
 
@@ -334,7 +273,7 @@ class CompiledMapping:
 # mutable dataclass (unhashable), so a WeakKeyDictionary is not an
 # option; the weakref callback evicts the entry when the mapping dies.
 _by_id: Dict[int, Tuple["weakref.ref", CompiledMapping]] = {}
-_by_fingerprint: Dict[str, CompiledMapping] = {}
+_by_fingerprint: "OrderedDict[str, CompiledMapping]" = OrderedDict()
 
 
 def mapping_fingerprint(mapping: LutMapping) -> str:
@@ -343,42 +282,6 @@ def mapping_fingerprint(mapping: LutMapping) -> str:
     from repro.pipeline.artifact import fingerprint
 
     return fingerprint(mapping)
-
-
-def _source_cache_key(fp: str) -> str:
-    payload = f"romfsm-codegen:{SOURCE_VERSION}:{fp}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _load_or_generate(mapping: LutMapping, fp: str) -> CompiledMapping:
-    from repro.pipeline.cache import resolve_cache
-
-    source: Optional[str] = None
-    cache = None
-    key = _source_cache_key(fp)
-    try:
-        cache = resolve_cache(None)  # REPRO_CACHE_DIR-driven, else None
-        if cache is not None:
-            entry = cache.get(key)
-            if entry is not None and isinstance(entry[1], str):
-                source = entry[1]
-    except Exception:
-        cache = None
-
-    if source is not None:
-        try:
-            fn = _compile_source(source, _FN_NAME)
-            _stats.disk_hits += 1
-            return CompiledMapping(fp, source, fn, tuple(mapping.input_nets))
-        except Exception:
-            source = None  # corrupt cached source: regenerate below
-
-    source = generate_source(mapping)
-    fn = _compile_source(source, _FN_NAME)
-    _stats.compiles += 1
-    if cache is not None:
-        cache.put(key, fp, source)  # hardened: never raises (PR 4)
-    return CompiledMapping(fp, source, fn, tuple(mapping.input_nets))
 
 
 def compile_mapping(mapping: LutMapping) -> CompiledMapping:
@@ -393,9 +296,15 @@ def compile_mapping(mapping: LutMapping) -> CompiledMapping:
         compiled = _by_fingerprint.get(fp)
         if compiled is not None:
             _stats.memo_hits += 1
+            _by_fingerprint.move_to_end(fp)
         else:
-            compiled = _load_or_generate(mapping, fp)
+            source = generate_source(mapping)
+            fn = _compile_source(source, _FN_NAME)
+            _stats.compiles += 1
+            compiled = CompiledMapping(fp, source, fn, tuple(mapping.input_nets))
             _by_fingerprint[fp] = compiled
+            if len(_by_fingerprint) > MEMO_MAX_ENTRIES:
+                _by_fingerprint.popitem(last=False)
         ref = weakref.ref(mapping, lambda _r, _k=ident: _by_id.pop(_k, None))
         _by_id[ident] = (ref, compiled)
     return compiled
@@ -411,50 +320,25 @@ def clear_compilation_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Dispatch
+# Evaluation
 # ----------------------------------------------------------------------
 
 
 def evaluate_words(
-    mapping: LutMapping,
-    input_words: Dict[str, int],
-    mask: int,
-    tag: Optional[str] = None,
+    mapping: LutMapping, input_words: Dict[str, int], mask: int
 ) -> Dict[str, int]:
-    """Evaluate every net of ``mapping`` with the active engine.
+    """Evaluate every net of ``mapping`` with its compiled function.
 
-    Drop-in replacement for
-    :func:`~repro.synth.wordsim.evaluate_mapping_words`: same inputs,
-    same returned dict, same ``KeyError`` on a missing input word.  When
-    the codegen engine is active, any internal codegen failure falls
-    back to the interpreter (counted in :attr:`CodegenStats.fallbacks`)
-    rather than surfacing, so callers never observe an engine
-    difference.  ``tag`` records which engine served the call for
-    :func:`engine_notes` (the ``romfsm eval --profile`` column).
+    Same inputs, same returned dict and same ``KeyError`` on a missing
+    input word as :func:`~repro.synth.wordsim.evaluate_mapping_words`.
+    Any codegen failure raises; the simulators catch it and run the
+    per-cycle oracle instead.
     """
-    if current_engine() != "codegen":
-        _stats.interpreter_calls += 1
-        if tag is not None:
-            note_engine(tag, "interpreter")
-        return evaluate_mapping_words(mapping, input_words, mask)
-    for name in mapping.input_nets:
-        if name not in input_words:
-            raise KeyError(f"missing word for input {name!r}")
-    try:
-        nets = compile_mapping(mapping).fn(input_words, mask)
-    except Exception:
-        _stats.fallbacks += 1
-        if tag is not None:
-            note_engine(tag, "interpreter")
-        return evaluate_mapping_words(mapping, input_words, mask)
-    _stats.calls += 1
-    if tag is not None:
-        note_engine(tag, "codegen")
-    return nets
+    return compile_mapping(mapping)(input_words, mask)
 
 
 # ----------------------------------------------------------------------
-# Fast-path helpers for the codegen engine
+# Trajectory and packing helpers
 # ----------------------------------------------------------------------
 
 # Sensible bound for tabulating delta/Y: 2^12 entries per state keeps the

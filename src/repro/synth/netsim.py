@@ -19,17 +19,12 @@ equivalence tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.synth import codegen
 from repro.synth.ff_synth import FfImplementation
-from repro.synth.wordsim import (
-    pack_bit_column,
-    popcount,
-    transpose_words,
-    word_toggles,
-)
+from repro.synth.wordsim import transpose_words, word_toggles
 
 __all__ = ["NetlistTrace", "simulate_ff_netlist", "simulate_ff_netlist_reference"]
 
@@ -77,110 +72,45 @@ def simulate_ff_netlist(
     numbers correspond to.
 
     Word-parallel: the state trajectory comes from STG lookups, net
-    values are computed for all cycles at once, and the trajectory is
+    values are computed for all cycles at once by the compiled netlist
+    function (:mod:`repro.synth.codegen`), and the trajectory is
     verified against the netlist's next-state words (bit-exact big-int
     compare).  A mismatch — a netlist that disagrees with its own STG —
+    or a codegen failure (counted in ``codegen.stats().fallbacks``)
     drops to :func:`simulate_ff_netlist_reference`.
     """
-    num_cycles = len(stimulus)
-    if num_cycles == 0:
+    if not stimulus:
         return simulate_ff_netlist_reference(impl, stimulus)
-
-    if codegen.current_engine() == "codegen":
-        try:
-            trace = _simulate_ff_codegen(impl, stimulus)
-        except Exception:
-            codegen.count_fallback()
-        else:
-            if trace is not None:
-                return trace
-            codegen.note_engine("ff", "oracle-fallback")
-            return simulate_ff_netlist_reference(impl, stimulus)
-
-    fsm = impl.fsm
-    encoding = impl.encoding
-    width = encoding.width
-    in_limit = (1 << fsm.num_inputs) - 1
-
-    # State trajectory at the STG level.  The netlist truncates input
-    # vectors to the declared input count, so the lookup must too.
-    state = fsm.reset_state
-    codes: List[int] = [encoding.encode(state)]
-    for input_bits in stimulus:
-        state, _ = fsm.step(state, input_bits & in_limit)
-        codes.append(encoding.encode(state))
-
-    # Pack the input-net streams: state bits see codes[0..n-1] (the state
-    # *during* each cycle), primary inputs see the stimulus columns.
-    current_codes = codes[:num_cycles]
-    input_words: Dict[str, int] = {}
-    for i in range(width):
-        input_words[encoding.bit_name(i)] = pack_bit_column(current_codes, i)
-    for i in range(fsm.num_inputs):
-        input_words[f"in{i}"] = pack_bit_column(stimulus, i)
-
-    mask = (1 << num_cycles) - 1
-    nets = codegen.evaluate_words(impl.mapping, input_words, mask, tag="ff")
-
-    # Verify the STG-derived trajectory against the netlist's own
-    # next-state outputs; by induction equality here means the per-cycle
-    # simulation would visit exactly these states (and therefore compute
-    # exactly these net values).
-    out_nets = impl.mapping.outputs
-    next_codes = codes[1:]
-    for i in range(width):
-        if nets[out_nets[f"ns{i}"]] != pack_bit_column(next_codes, i):
-            codegen.note_engine("ff", "oracle-fallback")
-            return simulate_ff_netlist_reference(impl, stimulus)
-
-    output_words = [nets[out_nets[f"out{i}"]] for i in range(fsm.num_outputs)]
-    outputs: List[int] = []
-    for k in range(num_cycles):
-        out = 0
-        for i, word in enumerate(output_words):
-            if word >> k & 1:
-                out |= 1 << i
-        outputs.append(out)
-
-    net_toggles: Dict[str, int] = {}
-    for name, word in nets.items():
-        toggles = word_toggles(word, num_cycles)
-        if toggles:
-            net_toggles[name] = toggles
-
-    ff_toggles = 0
-    for i in range(width):
-        ff_toggles += word_toggles(pack_bit_column(codes, i), num_cycles + 1)
-
-    return NetlistTrace(
-        num_cycles=num_cycles,
-        output_stream=outputs,
-        state_stream=[encoding.decode(code) for code in codes],
-        net_toggles=net_toggles,
-        ff_output_toggles=ff_toggles,
-    )
+    try:
+        trace = _simulate_ff_words(impl, stimulus)
+    except Exception:
+        codegen.count_fallback("ff")
+        trace = None
+    if trace is None:
+        return simulate_ff_netlist_reference(impl, stimulus)
+    return trace
 
 
-def _simulate_ff_codegen(
+def _simulate_ff_words(
     impl: FfImplementation, stimulus: List[int]
-) -> "NetlistTrace | None":
-    """The codegen-engine fast path (same contract, same results).
+) -> Optional[NetlistTrace]:
+    """The word-parallel evaluation behind :func:`simulate_ff_netlist`.
 
-    Differences from the interpreter path are mechanical, not
-    semantic: the trajectory steps a tabulated STG when one fits
-    (:func:`repro.synth.codegen.stg_table`), bit columns pack through
+    The trajectory steps a tabulated STG when one fits
+    (:func:`repro.synth.codegen.stg_table`) and the STG itself
+    otherwise, bit columns pack through
     :func:`repro.synth.codegen.pack_bit_columns`, the netlist is the
     compiled straight-line function, and the output stream is rebuilt
     with the sparse :func:`~repro.synth.wordsim.transpose_words`.
     Returns ``None`` when the netlist disagrees with the STG-derived
-    trajectory (the caller then runs the per-cycle oracle) and raises
-    on any internal failure (the caller then falls back to the
-    interpreter engine and counts the fallback).
+    trajectory; raises on any codegen failure.
     """
     num_cycles = len(stimulus)
     fsm = impl.fsm
     encoding = impl.encoding
     width = encoding.width
+    # The netlist truncates input vectors to the declared input count,
+    # so the STG lookup must too.
     in_limit = (1 << fsm.num_inputs) - 1
 
     table = codegen.stg_table(fsm, encoding)
@@ -200,8 +130,9 @@ def _simulate_ff_codegen(
             codes.append(encoding.encode(state))
 
     # One pack over all num_cycles + 1 samples per state bit: bits
-    # 0..n-1 are the codes *during* each cycle, the word shifted right
-    # by one gives the next-state column the verification needs.
+    # 0..n-1 are the codes *during* each cycle (what the state input
+    # nets see), the word shifted right by one gives the next-state
+    # column the verification needs.
     full_words = codegen.pack_bit_columns(codes, width)
     stim_words = codegen.pack_bit_columns(stimulus, fsm.num_inputs)
 
@@ -212,8 +143,12 @@ def _simulate_ff_codegen(
     for i in range(fsm.num_inputs):
         input_words[f"in{i}"] = stim_words[i]
 
-    nets = codegen.evaluate_words(impl.mapping, input_words, mask, tag="ff")
+    nets = codegen.evaluate_words(impl.mapping, input_words, mask)
 
+    # Verify the STG-derived trajectory against the netlist's own
+    # next-state outputs; by induction equality here means the per-cycle
+    # simulation would visit exactly these states (and therefore compute
+    # exactly these net values).
     out_nets = impl.mapping.outputs
     for b in range(width):
         if nets[out_nets[f"ns{b}"]] != (full_words[b] >> 1) & mask:

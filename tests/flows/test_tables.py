@@ -4,6 +4,8 @@ Uses a reduced cycle count to keep runtime reasonable; the full-length
 regeneration lives in the benchmark harness (benchmarks/).
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.suite import PAPER_BENCHMARKS
@@ -97,3 +99,14 @@ class TestTable4:
         for table in (table1, table2, table3, table4):
             text = table(results).text
             assert len(text.splitlines()) >= 11  # title + header + 9 rows
+
+
+def test_default_run_reproduces_committed_tables():
+    """Tables 1-4 at the paper defaults match ``results/`` byte for byte."""
+    committed = Path(__file__).resolve().parents[2] / "results"
+    results = run_all(
+        num_cycles=2000, seed=2004, idle_fraction=0.5, jobs=1, cache=False
+    )
+    for n, table in enumerate((table1, table2, table3, table4), start=1):
+        expected = (committed / f"table{n}.txt").read_text()
+        assert table(results).text + "\n" == expected, f"table{n} differs"

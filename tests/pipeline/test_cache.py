@@ -57,30 +57,6 @@ class TestCorruption:
         assert cache.get(KEY) == ("fp", [1, 2])
 
 
-class TestKeyValidation:
-    """Review regression: the raw seams face the network, so only
-    hex-fingerprint keys may ever become file paths."""
-
-    def test_digest_keys_are_valid(self):
-        assert ArtifactCache.valid_key(KEY)
-        assert ArtifactCache.valid_key("0123456789abcdef")  # 16-char floor
-
-    def test_non_digest_keys_are_invalid(self):
-        for bad in ["", "abc", "../../../../home/user/.bashrc",
-                    "/etc/passwd", "AB" + "0" * 62, "zz" + "0" * 62,
-                    "a" * 65, "ab" + "0" * 61 + "\n"]:
-            assert not ArtifactCache.valid_key(bad)
-
-    def test_raw_seams_refuse_traversal_keys(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "store")
-        envelope = ArtifactCache._encode("fp", 1)
-        evil = "../../escape"
-        assert not cache.put_raw(evil, envelope)
-        assert cache.get_raw(evil) is None
-        assert not (tmp_path / "escape.pkl").exists()
-        assert cache.stats.stores == 0
-
-
 class TestProbeMemo:
     """Review regression: __contains__ must not re-read multi-MiB
     entries on every probe; a validated entry is remembered by stat

@@ -324,40 +324,8 @@ class TestContainsValidatesEnvelope:
         assert cache.get(KEY) == ("fresh", 7)
 
 
-class TestRemoteFillRace:
-    """Satellite regression: the inode-guarded corrupt-entry unlink must
-    hold when the replacing writer is a *remote* cachenet backend fill
-    landing through :meth:`ArtifactCache.put_raw`."""
-
-    def test_corrupt_read_does_not_unlink_remote_backend_fill(
-        self, tmp_path, monkeypatch
-    ):
-        cache = ArtifactCache(tmp_path)
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"torn write from a crashed flush")
-        envelope = ArtifactCache._encode("remote-fp", {"filled": True})
-
-        def racing_decode(data):
-            # An L2 read-through backfill lands exactly between the
-            # corrupt read and the cleanup unlink.
-            filler = ArtifactCache(tmp_path)
-            assert filler.put_raw(KEY, envelope)
-            return pickle.loads(data)
-
-        monkeypatch.setattr(ArtifactCache, "_decode",
-                            staticmethod(racing_decode))
-        assert cache.get(KEY) is None
-        assert cache.stats.errors == 1
-        monkeypatch.undo()
-
-        # The remote fill survived the cleanup and reads back valid.
-        assert path.exists()
-        assert cache.get(KEY) == ("remote-fp", {"filled": True})
-
-
 class TestTmpOrphanTolerance:
-    """A crashed write-behind flush leaves ``.tmp-*`` files behind; the
+    """A writer that crashed mid-put leaves ``.tmp-*`` files behind; the
     accounting walks must not count them and clear() must sweep them."""
 
     def _orphan(self, cache: ArtifactCache) -> None:
@@ -379,45 +347,3 @@ class TestTmpOrphanTolerance:
         self._orphan(cache)
         assert cache.clear() == 1  # the orphan is swept but not counted
         assert not any(cache.objects_dir.iterdir())
-
-
-class TestRawEnvelopeTransport:
-    """get_raw/put_raw: the seam the cachenet tier moves entries through."""
-
-    def test_round_trip_preserves_bytes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", {"words": [1, 2, 3]})
-        data = cache.get_raw(KEY)
-        assert data is not None
-
-        other = ArtifactCache(tmp_path / "other")
-        assert other.put_raw(KEY, data)
-        assert other.get_raw(KEY) == data
-        assert other.get(KEY) == ("fp", {"words": [1, 2, 3]})
-
-    def test_put_raw_rejects_corrupt_envelopes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        assert not cache.put_raw(KEY, b"not an envelope")
-        data = bytearray(ArtifactCache._encode("fp", 1))
-        data[-1] ^= 0x01
-        assert not cache.put_raw(KEY, bytes(data))
-        assert cache.get(KEY) is None
-
-    def test_raw_ops_answer_misses_when_degraded(self, tmp_path):
-        cache = ArtifactCache(tmp_path, degrade_threshold=1)
-        plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
-                                    max_fires=1)])
-        with faults.injected(plan, export_env=False):
-            cache.put(KEY, "fp", 1)
-        assert cache.degraded
-        assert cache.get(KEY) == ("fp", 1)      # decoded memory hit
-        assert cache.get_raw(KEY) is None       # raw path: miss
-        assert not cache.put_raw(KEY, ArtifactCache._encode("fp", 1))
-
-    def test_get_raw_drops_corrupt_entries(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        cache._path(KEY).write_bytes(b"garbage")
-        assert cache.get_raw(KEY) is None
-        assert cache.stats.errors == 1
-        assert not cache._path(KEY).exists()

@@ -1,24 +1,28 @@
 """The compiled ROM replay must equal the per-cycle oracle everywhere.
 
-Same contract as ``test_impl_wordparallel`` but with the ``codegen``
-engine forced: :meth:`RomFsmImplementation.run` dispatches the replay
-loop to a compiled function, and every observable must stay identical
-to :meth:`run_reference` for every mapper configuration, both memory
-fabrics, and word widths across the packing edge cases — with the
-fallback counter untouched (the CI guard watches it).
+:meth:`RomFsmImplementation.run` evaluates the auxiliary LUT mappings
+and the replay loop through compiled functions, and every observable
+must stay identical to :meth:`run_reference` for every mapper
+configuration, both memory fabrics, and word widths across the packing
+edge cases — with the fallback counter untouched.  A codegen failure
+must be served by the oracle and counted.
 """
 
 import pytest
 
 from repro.bench.generator import generate_fsm
+from repro.bench.suite import PAPER_BENCHMARKS, load_benchmark
 from repro.fsm.simulate import idle_biased_stimulus, random_stimulus
 from repro.romfsm.mapper import map_fsm_to_rom
 from repro.synth import codegen
+from repro.synth.ff_synth import synthesize_ff
+from repro.synth.netsim import simulate_ff_netlist, simulate_ff_netlist_reference
 from tests.romfsm.test_equivalence_properties import _make_spec
 from tests.romfsm.test_impl_wordparallel import (
     CONFIGS,
     assert_rom_traces_equal,
 )
+from tests.synth.test_codegen import assert_traces_equal
 
 BACKENDS = ["virtex2-bram", "reram-1t1r"]
 
@@ -27,18 +31,15 @@ BACKENDS = ["virtex2-bram", "reram-1t1r"]
 def fresh_codegen_state():
     codegen.clear_compilation_cache()
     codegen.reset_stats()
-    codegen.reset_engine_notes()
     yield
     codegen.clear_compilation_cache()
     codegen.reset_stats()
-    codegen.reset_engine_notes()
 
 
 def run_both_codegen(fsm, stim, collect_nets=True, **mapper_kwargs):
     fast_impl = map_fsm_to_rom(fsm, **mapper_kwargs)
     ref_impl = map_fsm_to_rom(fsm, **mapper_kwargs)
-    with codegen.use_engine("codegen"):
-        fast = fast_impl.run(stim, collect_nets=collect_nets)
+    fast = fast_impl.run(stim, collect_nets=collect_nets)
     ref = ref_impl.run_reference(stim, collect_nets=collect_nets)
     assert_rom_traces_equal(fast, ref)
     assert fast_impl._rom.total_edges == ref_impl._rom.total_edges
@@ -73,27 +74,22 @@ def test_matches_reference_on_idle_biased_stimulus():
     run_both_codegen(fsm, stim, clock_control=True)
 
 
-def test_engines_agree_on_identical_trace():
+def test_compile_failure_is_served_by_the_oracle(monkeypatch):
     fsm = generate_fsm(_make_spec(9, 3, 3, 0, 2, 0.5, 0.35, False, seed=2))
     stim = random_stimulus(fsm.num_inputs, 180, seed=5)
     fast_impl = map_fsm_to_rom(fsm, clock_control=True)
-    slow_impl = map_fsm_to_rom(fsm, clock_control=True)
-    with codegen.use_engine("codegen"):
-        fast = fast_impl.run(stim)
-    with codegen.use_engine("interpreter"):
-        slow = slow_impl.run(stim)
-    assert_rom_traces_equal(fast, slow)
+    ref_impl = map_fsm_to_rom(fsm, clock_control=True)
 
+    def broken(mapping):
+        raise RuntimeError("injected compile failure")
 
-def test_rom_engine_note_records_serving_engine():
-    fsm = generate_fsm(_make_spec(5, 2, 2, 0, 2, 0.5, 0.3, False, seed=1))
-    stim = random_stimulus(fsm.num_inputs, 50, seed=0)
-    with codegen.use_engine("codegen"):
-        map_fsm_to_rom(fsm).run(stim)
-    assert codegen.engine_notes().get("rom") == "codegen"
-    with codegen.use_engine("interpreter"):
-        map_fsm_to_rom(fsm).run(stim)
-    assert codegen.engine_notes().get("rom") == "interpreter"
+    monkeypatch.setattr(codegen, "compile_mapping", broken)
+    fast = fast_impl.run(stim)
+    assert codegen.stats().fallbacks == 1
+    assert_rom_traces_equal(fast, ref_impl.run_reference(stim))
+    assert fast_impl._rom.total_edges == ref_impl._rom.total_edges
+    assert fast_impl._rom.enabled_edges == ref_impl._rom.enabled_edges
+    assert fast_impl._rom.output == ref_impl._rom.output
 
 
 def test_out_of_range_input_raises_under_codegen():
@@ -101,28 +97,24 @@ def test_out_of_range_input_raises_under_codegen():
     fast_impl = map_fsm_to_rom(fsm)
     ref_impl = map_fsm_to_rom(fsm)
     stim = [1, 2, 1 << fsm.num_inputs, 0]
-    with codegen.use_engine("codegen"):
-        with pytest.raises(ValueError):
-            fast_impl.run(stim)
+    with pytest.raises(ValueError):
+        fast_impl.run(stim)
     with pytest.raises(ValueError):
         ref_impl.run_reference(stim)
     assert fast_impl._rom.total_edges == ref_impl._rom.total_edges
     assert fast_impl._rom.enabled_edges == ref_impl._rom.enabled_edges
 
 
-@pytest.mark.parametrize("name", ["dk14", "planet", "styr"])
+@pytest.mark.parametrize("name", PAPER_BENCHMARKS)
 def test_paper_benchmarks_never_fall_back(name):
-    # The CI guard asserts romfsm_codegen_fallbacks_total == 0 over the
-    # Tier-1 suite; this is the in-tree early warning for it.
-    from repro.bench.suite import load_benchmark
-
     fsm = load_benchmark(name)
     stim = random_stimulus(fsm.num_inputs, 200, seed=9)
+    ff = synthesize_ff(fsm)
+    assert_traces_equal(
+        simulate_ff_netlist(ff, stim), simulate_ff_netlist_reference(ff, stim)
+    )
     for kwargs in (dict(), dict(clock_control=True)):
         impl = map_fsm_to_rom(fsm, **kwargs)
         ref = map_fsm_to_rom(fsm, **kwargs)
-        with codegen.use_engine("codegen"):
-            fast = impl.run(stim)
-        assert_rom_traces_equal(fast, ref.run_reference(stim))
+        assert_rom_traces_equal(impl.run(stim), ref.run_reference(stim))
     assert codegen.stats().fallbacks == 0
-    assert codegen.engine_notes().get("rom") == "codegen"

@@ -191,9 +191,6 @@ class TestEcoEndpoint:
                 status, text = await http_request(port, "GET", "/metrics")
                 assert status == 200
                 assert 'route="POST /v1/eco",status="200"' in text
-                assert "romfsm_codegen_fallbacks_total 0" in text
-                assert "romfsm_codegen_compiles_total" in text
-                assert "romfsm_codegen_calls_total" in text
 
         run_async(body())
 

@@ -1,13 +1,13 @@
-"""The compiled simulation engine must be invisible except for speed.
+"""The compiled netlist evaluator must be invisible except for speed.
 
 :mod:`repro.synth.codegen` compiles each LUT netlist into a
-straight-line big-int function and caches it (in-process memo + the
-artifact cache); :func:`simulate_ff_netlist` dispatches to it when the
-``codegen`` engine is active.  These tests pin the contract: for every
-machine/stimulus the codegen engine's trace equals the per-cycle
-oracle's, compilation happens once per netlist, the fallback counter
-stays at zero on the supported shapes, and engine selection (env var,
-``use_engine``) behaves.
+straight-line big-int function and memoizes it in process;
+:func:`simulate_ff_netlist` evaluates every netlist through it.  These
+tests pin the contract: the compiled function equals the reference
+interpreter :func:`~repro.synth.wordsim.evaluate_mapping_words`, every
+trace equals the per-cycle oracle's, compilation happens once per
+netlist, the memo stays bounded, the fallback counter stays at zero on
+the supported shapes, and a codegen failure is served by the oracle.
 """
 
 import pytest
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro.bench.generator import generate_fsm
 from repro.fsm.simulate import random_stimulus
+from repro.logic.lutmap import LutMapping, MappedLut
+from repro.logic.truthtable import TruthTable
 from repro.synth import codegen
 from repro.synth.ff_synth import synthesize_ff
 from repro.synth.netsim import (
@@ -32,11 +34,9 @@ SETTINGS = settings(max_examples=10, deadline=None)
 def fresh_codegen_state():
     codegen.clear_compilation_cache()
     codegen.reset_stats()
-    codegen.reset_engine_notes()
     yield
     codegen.clear_compilation_cache()
     codegen.reset_stats()
-    codegen.reset_engine_notes()
 
 
 def assert_traces_equal(fast, ref):
@@ -95,8 +95,7 @@ class TestEngineDispatch:
         fsm = generate_fsm(_make_spec(7, 3, 2, 0, 2, 0.5, 0.3, False, seed=7))
         impl = synthesize_ff(fsm)
         stim = random_stimulus(fsm.num_inputs, cycles, seed=cycles)
-        with codegen.use_engine("codegen"):
-            fast = simulate_ff_netlist(impl, stim)
+        fast = simulate_ff_netlist(impl, stim)
         assert_traces_equal(fast, simulate_ff_netlist_reference(impl, stim))
         assert codegen.stats().fallbacks == 0
 
@@ -105,98 +104,66 @@ class TestEngineDispatch:
         fsm = generate_fsm(_make_spec(8, 3, 3, 0, 2, 0.5, 0.35, True, seed=11))
         impl = synthesize_ff(fsm, encoding_style=encoding)
         stim = random_stimulus(fsm.num_inputs, 150, seed=1)
-        with codegen.use_engine("codegen"):
-            fast = simulate_ff_netlist(impl, stim)
+        fast = simulate_ff_netlist(impl, stim)
         assert_traces_equal(fast, simulate_ff_netlist_reference(impl, stim))
         assert codegen.stats().fallbacks == 0
-
-    def test_engines_agree_with_each_other(self):
-        fsm = generate_fsm(_make_spec(9, 3, 3, 0, 2, 0.5, 0.35, False, seed=2))
-        impl = synthesize_ff(fsm)
-        stim = random_stimulus(fsm.num_inputs, 180, seed=5)
-        with codegen.use_engine("codegen"):
-            fast = simulate_ff_netlist(impl, stim)
-        with codegen.use_engine("interpreter"):
-            slow = simulate_ff_netlist(impl, stim)
-        assert_traces_equal(fast, slow)
 
     def test_compiles_once_then_memoises(self):
         fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.5, 0.3, False, seed=9))
         impl = synthesize_ff(fsm)
         stim = random_stimulus(fsm.num_inputs, 80, seed=0)
-        with codegen.use_engine("codegen"):
-            simulate_ff_netlist(impl, stim)
-            first = codegen.stats()
-            simulate_ff_netlist(impl, stim)
-            second = codegen.stats()
+        simulate_ff_netlist(impl, stim)
+        first = codegen.stats()
+        simulate_ff_netlist(impl, stim)
+        second = codegen.stats()
         assert first.compiles >= 1
         assert second.compiles == first.compiles
         assert second.memo_hits > first.memo_hits
         assert second.fallbacks == 0
 
-    def test_interpreter_engine_counts_no_compiles(self):
-        fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.5, 0.3, False, seed=9))
+    def test_compile_failure_is_served_by_the_oracle(self, monkeypatch):
+        fsm = generate_fsm(_make_spec(8, 3, 3, 0, 2, 0.5, 0.35, False, seed=4))
         impl = synthesize_ff(fsm)
-        stim = random_stimulus(fsm.num_inputs, 60, seed=0)
-        with codegen.use_engine("interpreter"):
-            simulate_ff_netlist(impl, stim)
-        s = codegen.stats()
-        assert s.compiles == 0
-        assert s.interpreter_calls >= 1
+        stim = random_stimulus(fsm.num_inputs, 150, seed=2)
 
-    def test_engine_note_records_serving_engine(self):
-        fsm = generate_fsm(_make_spec(5, 2, 2, 0, 2, 0.5, 0.3, False, seed=1))
-        impl = synthesize_ff(fsm)
-        stim = random_stimulus(fsm.num_inputs, 40, seed=0)
-        with codegen.use_engine("codegen"):
-            simulate_ff_netlist(impl, stim)
-        assert codegen.engine_notes().get("ff") == "codegen"
-        with codegen.use_engine("interpreter"):
-            simulate_ff_netlist(impl, stim)
-        assert codegen.engine_notes().get("ff") == "interpreter"
+        def broken(mapping):
+            raise RuntimeError("injected compile failure")
+
+        monkeypatch.setattr(codegen, "compile_mapping", broken)
+        trace = simulate_ff_netlist(impl, stim)
+        assert codegen.stats().fallbacks == 1
+        assert_traces_equal(trace, simulate_ff_netlist_reference(impl, stim))
 
 
-class TestEngineSelection:
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(codegen.ENGINE_ENV, "interpreter")
-        assert codegen.current_engine() == "interpreter"
-        monkeypatch.setenv(codegen.ENGINE_ENV, "codegen")
-        assert codegen.current_engine() == "codegen"
-
-    def test_bad_env_value_falls_back_to_codegen(self, monkeypatch):
-        monkeypatch.setenv(codegen.ENGINE_ENV, "turbo")
-        assert codegen.current_engine() == "codegen"
-
-    def test_use_engine_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv(codegen.ENGINE_ENV, "interpreter")
-        with codegen.use_engine("codegen"):
-            assert codegen.current_engine() == "codegen"
-        assert codegen.current_engine() == "interpreter"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            with codegen.use_engine("turbo"):
-                pass  # pragma: no cover
+def _tiny_mapping(n: int) -> LutMapping:
+    """A distinct one-LUT netlist per ``n``: net ``n<n>`` over two inputs."""
+    net = f"n{n}"
+    return LutMapping(
+        k=4,
+        luts=[MappedLut(net, ("a", "b"), TruthTable(2, n % 16), 1)],
+        input_nets=["a", "b"],
+        outputs={"y": net},
+    )
 
 
-class TestDiskCache:
-    def test_compiled_source_round_trips_through_artifact_cache(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+class TestMemoBound:
+    WORDS = {"a": 0b1100, "b": 0b1010}
 
-        fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.5, 0.3, False, seed=6))
-        impl = synthesize_ff(fsm)
-        stim = random_stimulus(fsm.num_inputs, 70, seed=0)
-        with codegen.use_engine("codegen"):
-            first = simulate_ff_netlist(impl, stim)
-            # New process simulated by dropping the in-memory memo only:
-            # the persisted source must satisfy the compile without a
-            # second generation pass.
-            codegen.clear_compilation_cache()
-            codegen.reset_stats()
-            second = simulate_ff_netlist(impl, stim)
-        assert_traces_equal(first, second)
-        s = codegen.stats()
-        assert s.disk_hits >= 1
-        assert s.fallbacks == 0
+    def test_fingerprint_memo_is_capped(self):
+        cap = codegen.MEMO_MAX_ENTRIES
+        mappings = [_tiny_mapping(n) for n in range(cap + 8)]
+        for m in mappings:
+            codegen.compile_mapping(m)
+        assert codegen.stats().compiles == cap + 8
+        assert len(codegen._by_fingerprint) <= cap
+
+    def test_evicted_mapping_recompiles_to_the_same_nets(self):
+        nets = codegen.compile_mapping(_tiny_mapping(6))(self.WORDS, 0b1111)
+        for n in range(1000, 1000 + codegen.MEMO_MAX_ENTRIES):
+            codegen.compile_mapping(_tiny_mapping(n))
+        fresh = _tiny_mapping(6)
+        assert codegen.mapping_fingerprint(fresh) not in codegen._by_fingerprint
+        compiles = codegen.stats().compiles
+        assert codegen.compile_mapping(fresh)(self.WORDS, 0b1111) == nets
+        assert codegen.stats().compiles == compiles + 1
+        assert nets == evaluate_mapping_words(fresh, self.WORDS, 0b1111)

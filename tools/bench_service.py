@@ -11,14 +11,6 @@ Usage::
     PYTHONPATH=src python tools/bench_service.py
     PYTHONPATH=src python tools/bench_service.py --requests 500 --concurrency 32
     PYTHONPATH=src python tools/bench_service.py --no-spawn --port 8000
-    PYTHONPATH=src python tools/bench_service.py --instances 4
-
-With ``--instances N`` the report also gains a ``multi_instance``
-section: for 1/2/4 instances (capped at N), a sharded campaign is run
-against freshly spawned serves joined to a 2-backend cache tier —
-once cold, then again with brand-new serves whose only warmth is the
-tier (the L2-warm round).  Stage-run counters from /metrics show how
-much execution the tier saved.
 """
 
 from __future__ import annotations
@@ -38,8 +30,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cachenet.campaign import run_campaign  # noqa: E402
-from repro.cachenet.client import CacheBackendClient  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 
@@ -61,136 +51,6 @@ def wait_ready(client, deadline_s=30.0):
     raise SystemExit("server did not become healthy in time")
 
 
-def metrics_sum(text, prefix):
-    """Sum every sample of a (possibly labelled) counter family."""
-    total = 0.0
-    for line in text.splitlines():
-        if line.startswith(prefix) and not line.startswith("#"):
-            total += float(line.rsplit(" ", 1)[1])
-    return int(total)
-
-
-def spawn_cached(root, name):
-    """Boot a ``romfsm cached`` backend; returns (proc, "host:port")."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.flows.cli", "cached",
-            "--port", "0", "--cache-dir", os.path.join(root, f"tier-{name}"),
-        ],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-    announce = json.loads(proc.stdout.readline())["cachenet"]
-    return proc, f"{announce['host']}:{announce['port']}"
-
-
-def spawn_serve(port, cache_dir, peers, jobs):
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.flows.cli", "serve",
-            "--host", "127.0.0.1", "--port", str(port),
-            "--jobs", str(jobs), "--max-queue", "256",
-            "--timeout", "120", "--cache-dir", cache_dir,
-            "--cache-peers", peers,
-        ],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def stop_all(procs):
-    for proc in procs:
-        proc.send_signal(signal.SIGTERM)
-    for proc in procs:
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-
-
-def multi_instance_sweep(args, root):
-    """The scale-out curve: campaign throughput at 1/2/4 instances,
-    cold versus L2-warm (fresh serves, warm tier)."""
-    counts = [c for c in (1, 2, 4) if c <= args.instances]
-    items = [
-        {"benchmark": "dk14", "num_cycles": args.cycles,
-         "frequencies_mhz": [100.0], "seed": seed}
-        for seed in range(max(args.distinct, 8))
-    ]
-    section = {"backends": 2, "items": len(items), "instances": {}}
-    next_port = args.port + 10
-
-    for count in counts:
-        backends = [spawn_cached(root, f"{count}-{i}") for i in range(2)]
-        peers = ",".join(addr for _, addr in backends)
-        rounds = {}
-
-        def tier_requests():
-            """Cumulative GET/PUT totals across the tier backends."""
-            totals = {"get": 0, "put": 0}
-            for _, addr in backends:
-                host, port = addr.rsplit(":", 1)
-                stats = CacheBackendClient(host, int(port)).stats()
-                for verb in totals:
-                    totals[verb] += stats.get("requests", {}).get(verb, 0)
-            return totals
-
-        try:
-            previous = tier_requests()
-            for label in ("cold", "l2_warm"):
-                serves, urls = [], []
-                for i in range(count):
-                    port = next_port
-                    next_port += 1
-                    cache_dir = os.path.join(
-                        root, f"local-{count}-{label}-{i}")
-                    serves.append(spawn_serve(
-                        port, cache_dir, peers, args.jobs))
-                    urls.append(f"127.0.0.1:{port}")
-                try:
-                    for url in urls:
-                        wait_ready(ServiceClient(
-                            port=int(url.rsplit(":", 1)[1]), timeout_s=30.0))
-                    start = time.perf_counter()
-                    lines = list(run_campaign(
-                        items, urls, timeout_s=300.0, retries=1))
-                    wall = time.perf_counter() - start
-                    done = lines[-1]
-                    # Let the write-behind queues drain into the tier
-                    # before tearing the serves down.
-                    time.sleep(1.0)
-                    stage_runs = stage_hits = 0
-                    for url in urls:
-                        text = ServiceClient(
-                            port=int(url.rsplit(":", 1)[1])).metrics_text()
-                        stage_runs += metrics_sum(
-                            text, "romfsm_stage_runs_total")
-                        stage_hits += metrics_sum(
-                            text, "romfsm_stage_cache_hits_total")
-                finally:
-                    stop_all(serves)
-                current = tier_requests()
-                rounds[label] = {
-                    "ok": done["ok"],
-                    "failed": done["failed"],
-                    "wall_s": round(wall, 6),
-                    "throughput_rps": round(done["ok"] / wall, 3)
-                    if wall else 0.0,
-                    "stage_runs": stage_runs,
-                    "stage_cache_hits": stage_hits,
-                    "tier_gets": current["get"] - previous["get"],
-                    "tier_puts": current["put"] - previous["put"],
-                }
-                previous = current
-        finally:
-            stop_all([proc for proc, _ in backends])
-        section["instances"][str(count)] = rounds
-    return section
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--host", default="127.0.0.1")
@@ -205,10 +65,6 @@ def main(argv=None) -> int:
                         help="number of distinct request configs in the mix "
                              "(the rest coalesce or hit the artifact cache)")
     parser.add_argument("--cycles", type=int, default=500)
-    parser.add_argument("--instances", type=int, default=0,
-                        help="also benchmark sharded campaigns at 1/2/4 "
-                             "instances (capped here) over a 2-backend "
-                             "cache tier; 0 skips the sweep")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_service.json"))
     args = parser.parse_args(argv)
 
@@ -305,10 +161,6 @@ def main(argv=None) -> int:
                 },
             },
         }
-        if args.instances > 0:
-            sweep_root = tempfile.mkdtemp(prefix="romfsm-bench-tier-")
-            report["multi_instance"] = multi_instance_sweep(args, sweep_root)
-
         out = Path(args.out)
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(json.dumps(report, indent=2, sort_keys=True))
