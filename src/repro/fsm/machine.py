@@ -49,6 +49,9 @@ class Transition:
         return bits
 
 
+_Row = Tuple[Tuple[int, int, str, int], ...]
+
+
 class FSM:
     """A Mealy (or Moore-shaped Mealy) finite-state machine.
 
@@ -67,6 +70,11 @@ class FSM:
         should be disjoint for a deterministic machine (checked by
         :meth:`check_deterministic`).
     """
+
+    # Per-state compiled transition rows, built by the first step() and
+    # dropped by add_transition(); never pickled.  Building is idempotent,
+    # so two threads racing on a fresh machine only build it twice.
+    _rows: Optional[Dict[str, _Row]] = None
 
     def __init__(
         self,
@@ -116,6 +124,7 @@ class FSM:
             )
         self.transitions.append(t)
         self._by_src[t.src].append(t)
+        self._rows = None  # recompiled by the next step()
 
     def add(self, src: str, inputs: str, dst: str, outputs: str) -> None:
         """Shorthand: ``fsm.add('A', '0-', 'B', '1')``."""
@@ -179,11 +188,47 @@ class FSM:
         return None
 
     def step(self, state: str, input_bits: int) -> Tuple[str, int]:
-        """Next state and resolved output bits (unspecified -> hold, 0)."""
+        """Next state and resolved output bits (unspecified -> hold, 0).
+
+        Steps the compiled rows: per state, the non-empty transitions in
+        :meth:`lookup` order as ``(care_mask, value, dst, output_bits)``,
+        matching when ``input_bits & care_mask == value``.  The rows are
+        built on the first call and no per-input table is ever made, so
+        a run pays only for the inputs it applies.  Inputs outside
+        ``[0, 2**num_inputs)`` and unknown states take :meth:`lookup`.
+        """
+        rows = self._rows or self._compile_rows()
+        row = rows.get(state)
+        if row is not None and not input_bits >> self.num_inputs:
+            for care, value, dst, out in row:
+                if input_bits & care == value:
+                    return dst, out
+            return state, 0
         t = self.lookup(state, input_bits)
         if t is None:
             return state, 0
         return t.dst, t.output_bits()
+
+    def _compile_rows(self) -> Dict[str, _Row]:
+        rows: Dict[str, _Row] = {}
+        for state, outgoing in self._by_src.items():
+            compiled = []
+            for t in outgoing:
+                if t.inputs.is_empty():
+                    continue
+                care = t.inputs.care_mask()
+                compiled.append((care, t.inputs.one_mask & care, t.dst,
+                                 t.output_bits()))
+            rows[state] = tuple(compiled)
+        self._rows = rows
+        return rows
+
+    def __getstate__(self) -> dict:
+        # The rows are a cache of the transitions: leaving them out keeps
+        # a pickled machine byte-identical whether or not it was stepped.
+        state = self.__dict__.copy()
+        state.pop("_rows", None)
+        return state
 
     # ------------------------------------------------------------------
     # Structural checks

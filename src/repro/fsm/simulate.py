@@ -130,8 +130,8 @@ class FsmSimulator:
         self.reset()
         trace = SimulationTrace(self.fsm.num_inputs, self.fsm.num_outputs)
         trace.states.append(self.state)
+        limit = 1 << self.fsm.num_inputs
         for input_bits in stimulus:
-            limit = 1 << self.fsm.num_inputs
             if not 0 <= input_bits < limit:
                 raise ValueError(
                     f"input vector {input_bits:#x} out of range for "
@@ -190,30 +190,35 @@ def idle_biased_stimulus(
     prev_output: Optional[int] = None
     idle_count = 0
 
-    def classify(inp: int) -> Tuple[bool, bool]:
-        """(is_idle, is_self_loop) of taking ``inp`` from the current state."""
-        nxt, out = fsm.step(state, inp)
+    def is_idle(nxt: str, out: int) -> bool:
+        """Whether stepping to ``(nxt, out)`` leaves state and output unchanged."""
         same_out = prev_output is None and out == 0 or out == prev_output
-        return nxt == state and same_out, nxt == state
+        return nxt == state and same_out
 
     for cycle in range(num_cycles):
         want_idle = idle_count < idle_fraction * (cycle + 1)
-        chosen: Optional[int] = None
-        fallback: Optional[int] = None
+        # Picks are (input, next state, output): the probe's own step is
+        # reused, so each candidate is stepped once.
+        chosen: Optional[Tuple[int, str, int]] = None
+        fallback: Optional[Tuple[int, str, int]] = None
         for _probe in range(max_probes):
             candidate = rng.randrange(limit)
-            idle, self_loop = classify(candidate)
-            if idle == want_idle:
-                chosen = candidate
+            nxt, out = fsm.step(state, candidate)
+            if is_idle(nxt, out) == want_idle:
+                chosen = (candidate, nxt, out)
                 break
-            if want_idle and self_loop and fallback is None:
-                fallback = candidate  # sets up an idle run next cycle
+            if want_idle and nxt == state and fallback is None:
+                fallback = (candidate, nxt, out)  # sets up an idle run next cycle
         if chosen is None:
-            chosen = fallback if fallback is not None else rng.randrange(limit)
-        if classify(chosen)[0]:
+            chosen = fallback
+        if chosen is None:
+            candidate = rng.randrange(limit)
+            chosen = (candidate, *fsm.step(state, candidate))
+        candidate, nxt, out = chosen
+        if is_idle(nxt, out):
             idle_count += 1
-        stimulus.append(chosen)
-        state, prev_output = fsm.step(state, chosen)
+        stimulus.append(candidate)
+        state, prev_output = nxt, out
     return stimulus
 
 

@@ -300,25 +300,15 @@ class RomFsmImplementation:
         layout = self.layout
         width = encoding.width
 
-        # Trajectory guess from the STG, stepping a tabulated STG when
-        # one fits; verified below against the ROM.
-        table = codegen.stg_table(fsm, encoding)
-        codes: List[int] = [encoding.encode(fsm.reset_state)]
+        # Trajectory guess from the STG; verified below against the ROM.
+        state = fsm.reset_state
+        codes: List[int] = [encoding.encode(state)]
         ref_outs: List[int] = []
-        if table is not None:
-            row = table[fsm.state_index(fsm.reset_state)]
-            want_out = bool(layout.output_bits)
-            for input_bits in stimulus:
-                idx, code, out = row[input_bits]
-                codes.append(code)
-                ref_outs.append(out if want_out else 0)
-                row = table[idx]
-        else:
-            state = fsm.reset_state
-            for input_bits in stimulus:
-                state, out = fsm.step(state, input_bits)
-                codes.append(encoding.encode(state))
-                ref_outs.append(out if layout.output_bits else 0)
+        want_out = bool(layout.output_bits)
+        for input_bits in stimulus:
+            state, out = fsm.step(state, input_bits)
+            codes.append(encoding.encode(state))
+            ref_outs.append(out if want_out else 0)
 
         current_codes = codes[:num_cycles]
         mask = (1 << num_cycles) - 1

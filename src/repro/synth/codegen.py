@@ -52,7 +52,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 from repro.logutil import get_logger, kv
@@ -76,7 +76,6 @@ __all__ = [
     "pack_bit_columns",
     "reset_stats",
     "stats",
-    "stg_table",
 ]
 
 # Compilations kept by the per-fingerprint LRU.  Each entry holds the
@@ -316,7 +315,6 @@ def clear_compilation_cache() -> None:
         _by_id.clear()
         _by_fingerprint.clear()
         _replay_memo.clear()
-        _stg_tables.clear()
 
 
 # ----------------------------------------------------------------------
@@ -338,47 +336,8 @@ def evaluate_words(
 
 
 # ----------------------------------------------------------------------
-# Trajectory and packing helpers
+# Packing helpers
 # ----------------------------------------------------------------------
-
-# Sensible bound for tabulating delta/Y: 2^12 entries per state keeps the
-# table build in the low milliseconds even for the largest benchmarks.
-_STG_TABLE_MAX_INPUTS = 12
-_STG_TABLE_MAX_ENTRIES = 1_000_000
-
-# (id(fsm), id(encoding)) -> (fsm ref, encoding ref, rows) with weakref
-# eviction; the refs also guard against id reuse after collection.
-_stg_tables: Dict[Tuple[int, int], Tuple["weakref.ref", "weakref.ref", list]] = {}
-
-
-def stg_table(fsm, encoding) -> Optional[list]:
-    """Tabulated ``(delta, Y)``: ``rows[i][bits]`` = (next row index,
-    next state code, resolved output bits).
-
-    This is the STG compiled to a jump table — the per-cycle trajectory
-    derivation stops scanning transition cubes and becomes two list
-    indexings per cycle.  Returns ``None`` when the input space is too
-    large to tabulate (the caller then steps the STG directly).
-    """
-    if fsm.num_inputs > _STG_TABLE_MAX_INPUTS:
-        return None
-    if fsm.num_states << fsm.num_inputs > _STG_TABLE_MAX_ENTRIES:
-        return None
-    key = (id(fsm), id(encoding))
-    entry = _stg_tables.get(key)
-    if entry is not None and entry[0]() is fsm and entry[1]() is encoding:
-        return entry[2]
-    index = {state: i for i, state in enumerate(fsm.states)}
-    rows = []
-    for state in fsm.states:
-        row = []
-        for bits in range(1 << fsm.num_inputs):
-            nxt, out = fsm.step(state, bits)
-            row.append((index[nxt], encoding.encode(nxt), out))
-        rows.append(row)
-    evict = lambda _r, _k=key: _stg_tables.pop(_k, None)  # noqa: E731
-    _stg_tables[key] = (weakref.ref(fsm, evict), weakref.ref(encoding, evict), rows)
-    return rows
 
 
 def pack_bit_columns(values, width: int) -> List[int]:

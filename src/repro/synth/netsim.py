@@ -96,9 +96,8 @@ def _simulate_ff_words(
 ) -> Optional[NetlistTrace]:
     """The word-parallel evaluation behind :func:`simulate_ff_netlist`.
 
-    The trajectory steps a tabulated STG when one fits
-    (:func:`repro.synth.codegen.stg_table`) and the STG itself
-    otherwise, bit columns pack through
+    The trajectory steps the STG (:meth:`repro.fsm.machine.FSM.step`),
+    bit columns pack through
     :func:`repro.synth.codegen.pack_bit_columns`, the netlist is the
     compiled straight-line function, and the output stream is rebuilt
     with the sparse :func:`~repro.synth.wordsim.transpose_words`.
@@ -113,21 +112,11 @@ def _simulate_ff_words(
     # so the STG lookup must too.
     in_limit = (1 << fsm.num_inputs) - 1
 
-    table = codegen.stg_table(fsm, encoding)
-    if table is not None:
-        row = table[fsm.state_index(fsm.reset_state)]
-        codes = [encoding.encode(fsm.reset_state)]
-        append = codes.append
-        for input_bits in stimulus:
-            idx, code, _out = row[input_bits & in_limit]
-            append(code)
-            row = table[idx]
-    else:
-        state = fsm.reset_state
-        codes = [encoding.encode(state)]
-        for input_bits in stimulus:
-            state, _ = fsm.step(state, input_bits & in_limit)
-            codes.append(encoding.encode(state))
+    state = fsm.reset_state
+    codes = [encoding.encode(state)]
+    for input_bits in stimulus:
+        state, _ = fsm.step(state, input_bits & in_limit)
+        codes.append(encoding.encode(state))
 
     # One pack over all num_cycles + 1 samples per state bit: bits
     # 0..n-1 are the codes *during* each cycle (what the state input
