@@ -190,12 +190,11 @@ class FSM:
     def step(self, state: str, input_bits: int) -> Tuple[str, int]:
         """Next state and resolved output bits (unspecified -> hold, 0).
 
-        Steps the compiled rows: per state, the non-empty transitions in
-        :meth:`lookup` order as ``(care_mask, value, dst, output_bits)``,
-        matching when ``input_bits & care_mask == value``.  The rows are
-        built on the first call and no per-input table is ever made, so
-        a run pays only for the inputs it applies.  Inputs outside
-        ``[0, 2**num_inputs)`` and unknown states take :meth:`lookup`.
+        Steps per-state rows ``(care_mask, value, dst, output_bits)``: the
+        non-empty transitions in :meth:`lookup` order, matching when
+        ``input_bits & care_mask == value``.  The rows are built on the
+        first call and dropped by :meth:`add_transition`.  Inputs outside
+        ``[0, 2**num_inputs)`` and unknown states match nothing.
         """
         rows = self._rows or self._compile_rows()
         row = rows.get(state)
@@ -203,11 +202,7 @@ class FSM:
             for care, value, dst, out in row:
                 if input_bits & care == value:
                     return dst, out
-            return state, 0
-        t = self.lookup(state, input_bits)
-        if t is None:
-            return state, 0
-        return t.dst, t.output_bits()
+        return state, 0
 
     def _compile_rows(self) -> Dict[str, _Row]:
         rows: Dict[str, _Row] = {}
