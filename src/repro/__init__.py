@@ -22,7 +22,6 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.romfsm` — the paper's ROM mapping (core contribution)
 - :mod:`repro.power`  — XPower-style activity-based power estimation
 - :mod:`repro.bench`  — statistics-matched MCNC/PREP benchmark set
-- :mod:`repro.overlay` — multi-FSM packing into shared memory blocks
 - :mod:`repro.tune`   — multi-objective search over mapper configurations
 - :mod:`repro.flows`  — end-to-end experiments and the paper's tables
 """
@@ -56,12 +55,6 @@ from repro.power import (
 )
 from repro.flows import evaluate_benchmark, table1, table2, table3, table4
 from repro.bench import PAPER_BENCHMARKS, load_benchmark
-from repro.overlay import (
-    OverlayError,
-    pack_overlay,
-    run_overlay,
-    build_overlay_report,
-)
 from repro.tune import (
     TuneResult,
     load_frontier,
@@ -103,10 +96,6 @@ __all__ = [
     "table4",
     "PAPER_BENCHMARKS",
     "load_benchmark",
-    "OverlayError",
-    "pack_overlay",
-    "run_overlay",
-    "build_overlay_report",
     "TuneResult",
     "load_frontier",
     "replay_point",

@@ -1,31 +1,18 @@
-"""FPGA architecture model: embedded memory-block backends, device
+"""FPGA architecture model: the embedded memory block, device
 resources, interconnect capacitance, and timing.
 
 Only the architectural *parameters* the paper's method consumes are
 modelled — memory-block aspect ratios and port widths, slice/LUT/FF
 counts per device, wire capacitance versus fanout, and pin-to-pin
 delays.  The Virtex-II values come from the public data sheet the paper
-cites ([1]); :mod:`repro.arch.memblock` generalizes the memory block
-into a pluggable technology backend (the Virtex-II BlockRAM is the
-default, a non-volatile ReRAM 1T1R macro ships alongside it).
+cites ([1]); :mod:`repro.arch.memblock` gathers the block's legality
+and timing parameters into the one record the mapper consumes.
 """
 
 from repro.arch.bram import BramConfig, BlockRam, BRAM_CONFIGS, VIRTEX2_BRAM_BITS
 from repro.arch.device import Device, Utilization, VIRTEX2_DEVICES, get_device
 from repro.arch.interconnect import InterconnectModel
-from repro.arch.memblock import (
-    DEFAULT_BACKEND_NAME,
-    MemoryBlockModel,
-    RERAM_1T1R,
-    Reram1T1RModel,
-    UnknownBackendError,
-    VIRTEX2_BRAM,
-    Virtex2BramModel,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-)
+from repro.arch.memblock import VIRTEX2_BRAM, Virtex2BramModel
 from repro.arch.timing import TimingModel, TimingReport
 
 __all__ = [
@@ -38,17 +25,8 @@ __all__ = [
     "VIRTEX2_DEVICES",
     "get_device",
     "InterconnectModel",
-    "MemoryBlockModel",
     "Virtex2BramModel",
-    "Reram1T1RModel",
     "VIRTEX2_BRAM",
-    "RERAM_1T1R",
-    "DEFAULT_BACKEND_NAME",
-    "UnknownBackendError",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
     "TimingModel",
     "TimingReport",
 ]

@@ -1,98 +1,58 @@
-"""Pluggable memory-block technology backends.
+"""The Virtex-II memory block as one constant parameter record.
 
-The paper's technique — mapping an FSM's transition logic into embedded
-memory blocks — is fabric-agnostic: the mapper only needs to know which
-depth×width aspect ratios a block offers, how blocks join in series, and
-what a clocked access costs.  :class:`MemoryBlockModel` captures exactly
-that contract:
+The mapper only needs to know which depth×width aspect ratios a block
+offers, how blocks join in series, and what the block's pin-to-pin
+delays are.  :data:`VIRTEX2_BRAM` holds exactly that as data — legality
+is a lookup over the offered shapes, as in a memory techmap rule — and
+answers the mapper's queries:
 
 * **legality queries** — the legal aspect ratios (widest first, the
   mapper's preference order), address/data-bit limits, shape validation,
   and the series-joining rule with its block-count ceiling;
-* **port semantics** — every backend models a registered (latched)
-  output and an enable port, the two properties the Fig. 1b/2b structure
-  and the §6 clock-stopping mechanism depend on;
-* **energy callbacks** — per-edge read energy split by the enable state,
-  the cascade-hop capacitance for series joining, the clock-tree load
-  one block presents, and static (leakage/bias) power per block;
 * **timing parameters** — clock-to-out, address/enable setup, and the
   dedicated cascade-hop delay, exported as a ready
   :class:`~repro.arch.timing.TimingModel`.
 
-Two backends ship:
-
-* ``virtex2-bram`` (the default) re-expresses the existing Virtex-II
-  18-Kbit BlockRAM model.  Its energy callbacks delegate verbatim to
-  :meth:`repro.power.params.PowerParams.bram_edge_energy_pj` and the
-  Virtex-II capacitances, and its timing fields equal the historical
-  :class:`~repro.arch.timing.TimingModel` defaults, so Tables 1-4 stay
-  bit-identical to the pre-backend code for any parameter set.
-* ``reram-1t1r`` models a 16-Kbit non-volatile 1T1R ReRAM crossbar macro
-  (after the ReRAM FSA work of arXiv:2304.13552): cheaper reads per data
-  bit and near-zero disabled-edge energy (no SRAM clock network inside
-  the array), bought with slower access, a shorter series chain, and a
-  small static bias current.
-
-Backends register by name; :func:`resolve_backend` is the single entry
-point every flow layer uses (``None`` → the Virtex-II default).  A
-backend's identity participates in artifact fingerprints — the model is
-a frozen dataclass, so two backends (or two parameterizations of one)
-can never collide in the content-addressed cache.
+Block energies live with the rest of the Virtex-II calibration in
+:class:`~repro.power.params.PowerParams`.  Every mapped implementation
+carries the record, so it participates in artifact fingerprints as
+(class name, field map): the class name and every field value below
+are part of the cache and frontier-artifact identity and must not
+change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.arch.bram import BRAM_CONFIGS, BramConfig, VIRTEX2_BRAM_BITS
 from repro.arch.interconnect import InterconnectModel
 from repro.arch.timing import TimingModel
 
-__all__ = [
-    "MemoryBlockModel",
-    "Virtex2BramModel",
-    "Reram1T1RModel",
-    "VIRTEX2_BRAM",
-    "RERAM_1T1R",
-    "DEFAULT_BACKEND_NAME",
-    "UnknownBackendError",
-    "register_backend",
-    "get_backend",
-    "list_backends",
-    "resolve_backend",
-]
-
-
-class UnknownBackendError(ValueError):
-    """A backend name that is not registered; message lists valid names."""
-
-    def __init__(self, name: object):
-        self.backend = name
-        valid = ", ".join(sorted(_BACKENDS))
-        super().__init__(
-            f"unknown backend {name!r}; valid backends: {valid}"
-        )
+__all__ = ["Virtex2BramModel", "VIRTEX2_BRAM"]
 
 
 @dataclass(frozen=True)
-class MemoryBlockModel:
-    """What the mapper and the power/timing estimators consume.
+class Virtex2BramModel:
+    """The Virtex-II 18-Kbit BlockRAM: what the mapper and the timing
+    model consume.
 
-    Subclasses supply the energy callbacks; everything else is data.
-    ``configs`` must be ordered widest (shallowest) first — the mapper
+    ``configs`` is ordered widest (shallowest) first — the mapper
     prefers wide configurations because fewer word lines toggle per read.
     """
 
-    name: str
-    description: str
-    configs: Tuple[BramConfig, ...]
-    block_bits: int
+    name: str = "virtex2-bram"
+    description: str = (
+        "Xilinx Virtex-II 18-Kbit BlockRAM (SRAM, registered output, "
+        "EN port; the paper's fabric)"
+    )
+    configs: Tuple[BramConfig, ...] = BRAM_CONFIGS
+    block_bits: int = VIRTEX2_BRAM_BITS
     # Series (depth) joining ceiling: beyond this many cascaded blocks
     # the mapping is rejected (Fig. 5 lines 16-18 cost note).
     max_series: int = 8
-    # SRAM loses contents at power-off; non-volatile fabrics retain the
-    # STG through power cycling (instant-on FSMs, no reconfiguration).
+    # SRAM: contents are lost at power-off.
     volatile: bool = True
     # Timing (ns): registered read-out, setup of the sampled address and
     # enable pins, and the dedicated block-to-block cascade hop.
@@ -100,8 +60,8 @@ class MemoryBlockModel:
     addr_setup_ns: float = 0.50
     en_setup_ns: float = 0.70
     cascade_hop_ns: float = 0.25
-    # Static (leakage/bias) power per instantiated block, mW; reported
-    # as its own power component only when nonzero.
+    # The block draws no static power; kept as a field because the
+    # record's fingerprint commits to it.
     static_mw_per_block: float = 0.0
 
     # -- legality queries ----------------------------------------------
@@ -133,9 +93,6 @@ class MemoryBlockModel:
         if not candidates:
             return None
         return max(candidates, key=lambda c: c.width)
-
-    def supports(self, addr_bits: int, data_bits: int) -> bool:
-        return self.select_config(addr_bits, data_bits) is not None
 
     def validate_shape(self, depth: int, width: int) -> BramConfig:
         """The aspect ratio realizing ``depth`` × ``width``, or raise.
@@ -171,43 +128,6 @@ class MemoryBlockModel:
             )
         return config
 
-    def validate_region(
-        self, config: BramConfig, base: int, depth: int, width: int
-    ) -> None:
-        """Check a tenant region of a shared block (overlay packing).
-
-        A region is ``depth`` consecutive words of ``width`` bits placed
-        at word offset ``base`` inside one block configured as
-        ``config``.  The base must be aligned to the region depth so the
-        tenant's address bits occupy the low address lines and the
-        region-select bits the high ones — the overlay then forms a
-        physical address by OR-ing the base onto the tenant address.
-        """
-        if config not in self.configs:
-            raise ValueError(
-                f"{self.name}: {config.name} is not an offered aspect ratio"
-            )
-        if depth <= 0 or depth & (depth - 1):
-            raise ValueError(
-                f"{self.name}: region depth {depth} must be a positive "
-                f"power of two"
-            )
-        if width <= 0 or width > config.width:
-            raise ValueError(
-                f"{self.name}: region width {width} does not fit the "
-                f"{config.width}-bit data port"
-            )
-        if base % depth:
-            raise ValueError(
-                f"{self.name}: region base {base} is not aligned to its "
-                f"depth {depth}"
-            )
-        if base + depth > config.depth:
-            raise ValueError(
-                f"{self.name}: region [{base}, {base + depth}) overruns "
-                f"the {config.depth}-word block"
-            )
-
     def series_for(self, addr_bits: int) -> Tuple[int, int]:
         """``(series_blocks, lane_addr_bits)`` for an address demand.
 
@@ -222,41 +142,12 @@ class MemoryBlockModel:
     def legal_series(self, series: int) -> bool:
         return 1 <= series <= self.max_series
 
-    # -- energy callbacks ----------------------------------------------
-
-    def edge_energy_pj(
-        self,
-        addr_bits_used: int,
-        data_bits_used: int,
-        enabled: bool,
-        params,
-    ) -> float:
-        """Energy (pJ) of one clock edge on one block.
-
-        ``params`` is the active :class:`~repro.power.params.PowerParams`
-        — fabrics tied to the Virtex-II calibration read their
-        capacitances from it; technology-native backends may ignore it.
-        """
-        raise NotImplementedError(f"{type(self).__name__}.edge_energy_pj")
-
-    def cascade_cap_pf(self, params) -> float:
-        """Capacitance of one dedicated series-cascade hop (pF)."""
-        raise NotImplementedError(f"{type(self).__name__}.cascade_cap_pf")
-
-    def clock_load_pf(self, params) -> float:
-        """Clock-tree branch capacitance one block region presents (pF)."""
-        return params.c_clock_tree_per_load_pf
-
-    def static_power_mw(self, num_blocks: int) -> float:
-        """Frequency-independent power of ``num_blocks`` blocks (mW)."""
-        return self.static_mw_per_block * num_blocks
-
     # -- timing --------------------------------------------------------
 
     def timing_model(
         self, interconnect: Optional[InterconnectModel] = None
     ) -> TimingModel:
-        """A :class:`TimingModel` carrying this backend's block delays."""
+        """A :class:`TimingModel` carrying this block's delays."""
         kwargs = {} if interconnect is None else {"interconnect": interconnect}
         return TimingModel(
             bram_clk_to_out_ns=self.clk_to_out_ns,
@@ -267,140 +158,4 @@ class MemoryBlockModel:
         )
 
 
-@dataclass(frozen=True)
-class Virtex2BramModel(MemoryBlockModel):
-    """The Virtex-II 18-Kbit BlockRAM as a registered backend.
-
-    Every callback delegates to the Virtex-II entries of the active
-    :class:`~repro.power.params.PowerParams`, so this backend reproduces
-    the pre-backend estimator bit-for-bit under any calibration.
-    """
-
-    def edge_energy_pj(
-        self, addr_bits_used, data_bits_used, enabled, params
-    ) -> float:
-        return params.bram_edge_energy_pj(
-            addr_bits_used, data_bits_used, enabled
-        )
-
-    def cascade_cap_pf(self, params) -> float:
-        return params.c_bram_cascade_pf
-
-
-@dataclass(frozen=True)
-class Reram1T1RModel(MemoryBlockModel):
-    """A 16-Kbit non-volatile 1T1R ReRAM crossbar macro.
-
-    Energy is technology-native (pJ per access, independent of the FPGA
-    core voltage): a read drives one word line and senses the selected
-    bit lines through current-mode sense amplifiers.  Reads are cheaper
-    per data bit than the SRAM block's precharge-heavy bit lines and a
-    disabled edge costs almost nothing (no internal clock network to
-    charge), but access is slower and the select devices plus sense-amp
-    bias draw a small static current.
-    """
-
-    # Per enabled read: word-line driver, decoder and control overhead...
-    e_read_base_pj: float = 2.6
-    # ...plus the exercised geometry, mirroring the paper's section 5
-    # word-line/bit-line scaling argument.
-    e_read_per_addr_bit_pj: float = 0.08
-    e_read_per_data_bit_pj: float = 0.55
-    # Disabled edge: the clock only reaches the macro's enable gate.
-    e_idle_pj: float = 0.04
-    # Dedicated series-cascade hop (longer spans than BRAM columns).
-    c_cascade_pf: float = 0.30
-    # Clock branch load of one macro (just the sense/latch region).
-    c_clock_load_pf: float = 0.05
-
-    def edge_energy_pj(
-        self, addr_bits_used, data_bits_used, enabled, params
-    ) -> float:
-        if not enabled:
-            return self.e_idle_pj
-        return (
-            self.e_read_base_pj
-            + self.e_read_per_addr_bit_pj * addr_bits_used
-            + self.e_read_per_data_bit_pj * data_bits_used
-        )
-
-    def cascade_cap_pf(self, params) -> float:
-        return self.c_cascade_pf
-
-    def clock_load_pf(self, params) -> float:
-        return self.c_clock_load_pf
-
-
-VIRTEX2_BRAM = Virtex2BramModel(
-    name="virtex2-bram",
-    description=(
-        "Xilinx Virtex-II 18-Kbit BlockRAM (SRAM, registered output, "
-        "EN port; the paper's fabric)"
-    ),
-    configs=BRAM_CONFIGS,
-    block_bits=VIRTEX2_BRAM_BITS,
-    max_series=8,
-)
-
-RERAM_1T1R = Reram1T1RModel(
-    name="reram-1t1r",
-    description=(
-        "16-Kbit 1T1R ReRAM crossbar macro (non-volatile, registered "
-        "sense output, enable-gated reads; after arXiv:2304.13552)"
-    ),
-    configs=(
-        BramConfig(512, 32),
-        BramConfig(1024, 16),
-        BramConfig(2048, 8),
-        BramConfig(4096, 4),
-        BramConfig(8192, 2),
-        BramConfig(16384, 1),
-    ),
-    block_bits=16 * 1024,
-    max_series=4,
-    volatile=False,
-    clk_to_out_ns=4.60,
-    addr_setup_ns=0.65,
-    en_setup_ns=0.65,
-    cascade_hop_ns=0.40,
-    static_mw_per_block=0.0035,
-)
-
-DEFAULT_BACKEND_NAME = VIRTEX2_BRAM.name
-
-_BACKENDS: Dict[str, MemoryBlockModel] = {}
-
-
-def register_backend(model: MemoryBlockModel, replace: bool = False) -> None:
-    """Add ``model`` to the registry under ``model.name``."""
-    if not replace and model.name in _BACKENDS:
-        raise ValueError(f"backend {model.name!r} is already registered")
-    _BACKENDS[model.name] = model
-
-
-def get_backend(name: str) -> MemoryBlockModel:
-    """Look a backend up by name; raise :class:`UnknownBackendError`."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise UnknownBackendError(name) from None
-
-
-def list_backends() -> Tuple[MemoryBlockModel, ...]:
-    """All registered backends, in registration order (default first)."""
-    return tuple(_BACKENDS.values())
-
-
-def resolve_backend(
-    value: Union[None, str, MemoryBlockModel] = None
-) -> MemoryBlockModel:
-    """The single entry point: ``None`` → default, name → lookup."""
-    if value is None:
-        return _BACKENDS[DEFAULT_BACKEND_NAME]
-    if isinstance(value, MemoryBlockModel):
-        return value
-    return get_backend(value)
-
-
-register_backend(VIRTEX2_BRAM)
-register_backend(RERAM_1T1R)
+VIRTEX2_BRAM = Virtex2BramModel()

@@ -2,22 +2,18 @@
 
 Subcommands mirror the paper's artifacts::
 
-    romfsm tables [--cycles N] [--seed S] [--idle F] [--backend NAME]
+    romfsm tables [--cycles N] [--seed S] [--idle F]
                   [--jobs N] [--cache-dir D | --no-cache]  # Tables 1-4
-    romfsm map FILE.kiss2|BENCH [--clock-control] [--backend NAME]
-                  [--vhdl OUT.vhd]
-    romfsm eval FILE.kiss2|BENCH [--freq MHZ ...] [--backend NAME]
+    romfsm map FILE.kiss2|BENCH [--clock-control] [--vhdl OUT.vhd]
+    romfsm eval FILE.kiss2|BENCH [--freq MHZ ...]
                   [--tuned FRONTIER.json [--tuned-point N]]
     romfsm tune FILE.kiss2|BENCH [--jobs N] [--out FRONTIER.json]
-                  [--backend NAME] [--no-prune]   # Pareto search over
-                                                  # mapper configurations
+                  [--no-prune]           # Pareto search over mapper
+                                         # configurations
     romfsm eco FILE.kiss2|BENCH --edits FILE.json|--new FILE.kiss2
                   [--old-fingerprint FP]       # patch ROM words in place
-    romfsm overlay FSM FSM ... [--max-blocks N] [--backend NAME]
-                  [--json OUT.json]                 # multi-tenant packing
     romfsm serve [--port P] [--jobs N] [--max-queue Q] [--timeout S]
     romfsm submit FILE.kiss2|--benchmark NAME [--port P]
-    romfsm backends                                     # backend registry
     romfsm bench-stats                                  # suite statistics
     romfsm cache {stats,clear} [--cache-dir D]          # artifact cache
 
@@ -43,11 +39,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.arch.memblock import (
-    UnknownBackendError,
-    list_backends,
-    resolve_backend,
-)
 from repro.bench.suite import PAPER_BENCHMARKS, benchmark_stats, load_benchmark
 from repro.flows.flow import PAPER_FREQUENCIES_MHZ, evaluate_benchmark_detailed
 from repro.flows.tables import (
@@ -97,25 +88,6 @@ def _load_fsm_arg(arg: str) -> FSM:
         f"{arg!r} is neither a readable .kiss2 file nor a known benchmark "
         f"(available: {', '.join(PAPER_BENCHMARKS)})"
     )
-
-
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", metavar="NAME",
-        help="memory-block technology backend (default: virtex2-bram; "
-             "see `romfsm backends` for the registry)",
-    )
-
-
-def _resolve_backend_arg(args: argparse.Namespace) -> str:
-    """The ``--backend`` choice as a canonical registered name.
-
-    Raises :class:`CliError` (one line, exit 2) on an unregistered name.
-    """
-    try:
-        return resolve_backend(getattr(args, "backend", None)).name
-    except UnknownBackendError as exc:
-        raise CliError(str(exc))
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -179,7 +151,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     cache = _cache_spec(args)
     results = run_all(
         num_cycles=args.cycles, seed=args.seed, idle_fraction=args.idle,
-        jobs=args.jobs, cache=cache, backend=_resolve_backend_arg(args),
+        jobs=args.jobs, cache=cache,
     )
     rendered = [table(results) for table in (table1, table2, table3, table4)]
     for table in rendered:
@@ -203,18 +175,15 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     fsm = _load_fsm_arg(args.file)
-    backend = _resolve_backend_arg(args)
     impl = map_fsm_to_rom(
         fsm,
         clock_control=args.clock_control,
         moore_outputs=args.moore_outputs,
         force_compaction=args.force_compaction,
-        backend=backend,
     )
     util = impl.utilization
     print(f"FSM {fsm.name}: {fsm.num_states} states, "
           f"{fsm.num_inputs} in, {fsm.num_outputs} out")
-    print(f"  backend       : {impl.backend_model.name}")
     print(f"  memory config : {impl.config.name} x{impl.num_brams} "
           f"({impl.parallel_brams} parallel, {impl.series_brams} series)")
     compacted = " (column compacted)" if impl.compaction else ""
@@ -298,14 +267,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 f"frontier artifact {args.tuned} was tuned for "
                 f"{tuned.benchmark!r}, not {fsm.name!r}"
             )
-        if args.backend is None:
-            args.backend = tuned.backend
-        elif args.backend != tuned.backend:
-            print(
-                f"romfsm: warning: frontier was tuned on {tuned.backend}, "
-                f"evaluating on {args.backend}",
-                file=sys.stderr,
-            )
         c = point.candidate
         tuned_kwargs = {
             "rom_encoding": c.encoding,
@@ -322,8 +283,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"cc={'yes' if c.clock_control else 'no'} "
             f"(candidate {c.fingerprint[:16]}, tuned "
             f"{point.power_mw:.4f} mW @ "
-            f"{point.fitness.get('frequency_mhz', 0):g} MHz on "
-            f"{tuned.backend})"
+            f"{point.fitness.get('frequency_mhz', 0):g} MHz)"
         )
     result, report = evaluate_benchmark_detailed(
         fsm,
@@ -332,7 +292,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         idle_fraction=args.idle,
         seed=args.seed,
         cache=_cache_spec(args),
-        backend=_resolve_backend_arg(args),
         **tuned_kwargs,
     )
     if args.profile:
@@ -352,9 +311,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ["frequency", "FF (mW)", "EMB (mW)", "EMB+cc (mW)"], rows
     ))
     rom = result.rom_impl
-    print(f"\nbackend  : {rom.backend_model.name} "
-          f"({rom.config.name} x{rom.num_brams}, "
-          f"{rom.parallel_brams} parallel, {rom.series_brams} series)")
+    print(f"\nmemory   : {rom.config.name} x{rom.num_brams} "
+          f"({rom.parallel_brams} parallel, {rom.series_brams} series)")
     print(f"saving @ {args.freq[-1]:g} MHz : "
           f"{result.saving_percent(args.freq[-1]):.1f}% "
           f"(with clock control: {result.cc_saving_percent(args.freq[-1]):.1f}%"
@@ -377,7 +335,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     try:
         result = tune_benchmark(
             target,
-            backend=_resolve_backend_arg(args),
             jobs=args.jobs,
             cache=_cache_spec(args),
             num_cycles=args.cycles,
@@ -441,7 +398,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             frequencies_mhz=args.freq,
             num_cycles=args.cycles,
             seed=args.seed,
-            backend=_resolve_backend_arg(args),
         )
     except (EcoError, FsmError) as exc:
         raise CliError(str(exc))
@@ -598,125 +554,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.power.params import VIRTEX2_PARAMS
-
-    rows = []
-    for model in list_backends():
-        ratios = " ".join(c.name for c in model.configs)
-        rows.append([
-            model.name,
-            model.block_bits,
-            ratios,
-            model.max_series,
-            "no" if model.volatile else "yes",
-            f"{model.clk_to_out_ns:.2f}",
-        ])
-    print(format_table(
-        ["backend", "bits/block", "aspect ratios", "max series",
-         "non-volatile", "clk-to-out (ns)"],
-        rows,
-    ))
-    for model in list_backends():
-        print(f"\n{model.name}: {model.description}")
-        # Energy per clock edge at each aspect ratio's full geometry,
-        # under the default Virtex-II calibration — the numbers the
-        # estimator's bram component is built from.
-        energy_rows = []
-        for config in model.configs:
-            enabled = model.edge_energy_pj(
-                config.addr_bits, config.width, True, VIRTEX2_PARAMS
-            )
-            idle = model.edge_energy_pj(
-                config.addr_bits, config.width, False, VIRTEX2_PARAMS
-            )
-            energy_rows.append([
-                config.name, config.depth, config.width,
-                config.addr_bits, f"{enabled:.2f}", f"{idle:.2f}",
-            ])
-        print(format_table(
-            ["config", "depth", "width", "addr bits",
-             "read edge (pJ)", "idle edge (pJ)"],
-            energy_rows,
-        ))
-        print(f"  timing : clk-to-out {model.clk_to_out_ns:.2f} ns, "
-              f"addr setup {model.addr_setup_ns:.2f} ns, "
-              f"en setup {model.en_setup_ns:.2f} ns, "
-              f"cascade hop {model.cascade_hop_ns:.2f} ns")
-        print(f"  loads  : cascade {model.cascade_cap_pf(VIRTEX2_PARAMS):.2f} pF, "
-              f"clock branch {model.clock_load_pf(VIRTEX2_PARAMS):.2f} pF/block")
-        if model.static_mw_per_block:
-            print(f"  static : {model.static_mw_per_block * 1e3:.1f} µW/block")
-    return 0
-
-
-def _cmd_overlay(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.overlay import build_overlay_report
-
-    if len(args.fsms) < 2:
-        raise CliError("an overlay needs at least two FSMs")
-    fsms = [_load_fsm_arg(arg) for arg in args.fsms]
-    names = [f.name for f in fsms]
-    if len(set(names)) != len(names):
-        raise CliError(f"duplicate tenant names: {sorted(names)}")
-    try:
-        report = build_overlay_report(
-            fsms,
-            backend=_resolve_backend_arg(args),
-            frequencies_mhz=args.freq,
-            num_cycles=args.cycles,
-            seed=args.seed,
-            idle_fraction=args.idle,
-            max_blocks=args.max_blocks,
-            clock_control=args.clock_control,
-        )
-    except FsmError as exc:
-        raise CliError(str(exc))
-
-    print(f"overlay: {report.num_tenants} tenants on "
-          f"{report.overlay_blocks} block(s) "
-          f"(separate: {report.separate_blocks}, "
-          f"{report.block_saving_percent:.0f}% fewer) "
-          f"[{report.backend}]")
-    rows = [
-        [t.name, t.standalone_blocks, t.block,
-         "exclusive" if t.exclusive else f"base {t.region_base}",
-         f"{t.depth}x{t.width}"]
-        for t in report.tenants
-    ]
-    print(format_table(
-        ["tenant", "own blocks", "block", "region", "shape"], rows
-    ))
-    print()
-    rows = []
-    for f in args.freq:
-        ovl_nj, sep_nj = report.energy_per_transition_nj(f)
-        rows.append([
-            f"{f:g} MHz",
-            f"{report.overlay_mw(f):.2f}",
-            f"{report.separate_mw[f'{f:g}']:.2f}",
-            f"{report.saving_percent(f):.1f}%",
-            f"{ovl_nj:.4f}",
-            f"{sep_nj:.4f}",
-        ])
-    print(format_table(
-        ["frequency", "overlay (mW)", "separate (mW)", "saving",
-         "nJ/txn ovl", "nJ/txn sep"],
-        rows,
-    ))
-    print("\nnote: the overlay services 1 tenant transition per global "
-          "cycle vs N for separate machines; nJ/transition is the "
-          "throughput-honest comparison.")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _cmd_bench_stats(_args: argparse.Namespace) -> int:
     rows = []
     for name in PAPER_BENCHMARKS:
@@ -758,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", metavar="FILE",
                    help="write the run manifest (stage timings, cache "
                         "hits/misses) as JSON to this path")
-    _add_backend_option(p)
     _add_pipeline_options(p)
     _add_fault_options(p)
     p.set_defaults(func=_cmd_tables)
@@ -773,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structural", action="store_true",
                    help="instantiate RAMB16 primitives with INIT generics "
                         "instead of an inferred ROM")
-    _add_backend_option(p)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("eval", help="power-compare both implementations")
@@ -792,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuned-point", type=int, default=None, metavar="N",
                    help="frontier point index to apply (default: the "
                         "minimum-power point)")
-    _add_backend_option(p)
     _add_cache_options(p)
     _add_fault_options(p)
     p.set_defaults(func=_cmd_eval)
@@ -818,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the whole deduped grid instead of "
                         "bound-pruning dominated regions (same frontier, "
                         "slower; the brute-force reference)")
-    _add_backend_option(p)
     _add_pipeline_options(p)
     _add_fault_options(p)
     p.set_defaults(func=_cmd_tune)
@@ -848,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rom-map stages show as cache hits)")
     p.add_argument("--json", metavar="FILE",
                    help="also write the result summary as JSON")
-    _add_backend_option(p)
     _add_cache_options(p)
     _add_fault_options(p)
     p.set_defaults(func=_cmd_eco)
@@ -910,34 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=float, nargs="+", metavar="MHZ")
     p.add_argument("--cycles", type=int, metavar="N")
     p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser(
-        "backends", help="list the registered memory-block backends"
-    )
-    p.set_defaults(func=_cmd_backends)
-
-    p = sub.add_parser(
-        "overlay",
-        help="pack several FSMs into a shared memory-block overlay and "
-             "compare its power/area against separate mappings",
-    )
-    p.add_argument("fsms", nargs="+", metavar="FSM",
-                   help="two or more .kiss2 files or benchmark names")
-    p.add_argument("--freq", type=float, nargs="+",
-                   default=list(PAPER_FREQUENCIES_MHZ))
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=2004)
-    p.add_argument("--idle", type=float, default=None,
-                   help="idle-biased stimulus fraction (default: uniform "
-                        "random; pair with --clock-control)")
-    p.add_argument("--clock-control", action="store_true")
-    p.add_argument("--max-blocks", type=int, default=None, metavar="N",
-                   help="physical block budget; packing beyond it is a "
-                        "one-line error")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    _add_backend_option(p)
-    p.set_defaults(func=_cmd_overlay)
 
     p = sub.add_parser("bench-stats", help="print benchmark STG statistics")
     p.set_defaults(func=_cmd_bench_stats)

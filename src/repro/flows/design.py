@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.arch.device import Device, Utilization, get_device
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
 from repro.fsm.simulate import idle_biased_stimulus, random_stimulus
@@ -112,16 +111,12 @@ class FsmDesign:
         device: Optional[Device] = None,
         spare_brams: Optional[int] = None,
         params: PowerParams = VIRTEX2_PARAMS,
-        backend: Union[None, str, MemoryBlockModel] = None,
     ):
         self.device = device or get_device()
         self.spare_brams = (
             spare_brams if spare_brams is not None else self.device.brams
         )
         self.params = params
-        # Stored as the resolved canonical name so shard configs (and
-        # their cache keys) are identical for None and "virtex2-bram".
-        self.backend = resolve_backend(backend).name
         self._fsms: List[Tuple[FSM, str, float]] = []
 
     def add(
@@ -166,7 +161,7 @@ class FsmDesign:
         items = [
             (
                 fsm, idle_fraction, frequency_mhz, num_cycles, seed,
-                self.device, self.params, self.backend, cache_path,
+                self.device, self.params, cache_path,
             )
             for fsm, _policy, idle_fraction in self._fsms
         ]
@@ -264,7 +259,6 @@ def _stage_design_candidates(
     seed = ctx.cfg("seed", 2004)
     device = ctx.cfg("device")
     params = ctx.cfg("params")
-    backend = ctx.cfg("backend")
 
     if idle_fraction > 0:
         stimulus = idle_biased_stimulus(fsm, num_cycles, idle_fraction, seed=seed)
@@ -279,14 +273,14 @@ def _stage_design_candidates(
     candidates["ff"] = (ff_power.total_mw, ff.utilization, 0)
 
     try:
-        rom = map_fsm_to_rom(fsm, backend=backend)
+        rom = map_fsm_to_rom(fsm)
         rom_power = estimate_rom_power(
             rom, extract_rom_activity(rom, rom.run(stimulus)),
             frequency_mhz, device, params,
         )
         candidates["rom"] = (rom_power.total_mw, rom.utilization, rom.num_brams)
         if idle_fraction >= 0.2:
-            cc = map_fsm_to_rom(fsm, clock_control=True, backend=backend)
+            cc = map_fsm_to_rom(fsm, clock_control=True)
             cc_power = estimate_rom_power(
                 cc, extract_rom_activity(cc, cc.run(stimulus)),
                 frequency_mhz, device, params,
@@ -324,14 +318,14 @@ def build_design_pipeline() -> Pipeline:
         make_stage("design-candidates", _stage_design_candidates,
                    ("parse", "ff-synth"),
                    ("frequency", "num_cycles", "seed", "idle_fraction",
-                    "device", "params", "backend")),
+                    "device", "params")),
     ])
 
 
 def _design_shard(item) -> Tuple[Dict[str, Tuple[float, Utilization, int]], Any]:
     """Top-level worker for :func:`run_sharded` (must be picklable)."""
     (fsm, idle_fraction, frequency_mhz, num_cycles, seed,
-     device, params, backend, cache_path) = item
+     device, params, cache_path) = item
     config: Dict[str, Any] = {
         "fsm": fsm,
         "kiss": format_kiss(fsm),
@@ -345,7 +339,6 @@ def _design_shard(item) -> Tuple[Dict[str, Tuple[float, Utilization, int]], Any]
         "seed": seed,
         "device": device,
         "params": params,
-        "backend": backend,
     }
     outcome = build_design_pipeline().run(config, cache=resolve_cache(cache_path))
     return outcome.value("design-candidates"), outcome.report

@@ -24,8 +24,8 @@ Entry point: :func:`eco_evaluate` (the engine behind ``romfsm eco`` and
 ``POST /v1/eco``).  Callers may pass ``old_fingerprint`` — the ``rom-map``
 stage fingerprint a previously returned result advertised — and the flow
 fails with :class:`EcoError` if the image the edit script was built
-against is not the image this run produced (e.g. the mapper or backend
-changed underneath the edit).
+against is not the image this run produced (e.g. the mapper changed
+underneath the edit).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.arch.device import Device
-from repro.arch.memblock import MemoryBlockModel
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.diff import FsmDiff, apply_edits, diff_fsm
 from repro.fsm.kiss import format_kiss
@@ -194,7 +194,7 @@ def _stage_eco_power(ctx: StageContext) -> EcoPowerBundle:
         rom_power[f"{f:g}"] = estimate_rom_power(
             patch.impl, activity, f, device, params
         )
-    timing = patch.impl.backend_model.timing_model(params.interconnect)
+    timing = VIRTEX2_BRAM.timing_model(params.interconnect)
     rom_timing = timing.rom_implementation(
         mux_levels=patch.impl.mux_levels,
         series_brams=patch.impl.series_brams,
@@ -219,7 +219,7 @@ def build_eco_pipeline() -> Pipeline:
         make_stage("parse", _stage_parse, (),
                ("benchmark", "kiss", "name", "states", "reset")),
         make_stage("rom-map", _stage_rom_map, ("parse",),
-               ("moore_outputs", "backend", "rom_encoding",
+               ("moore_outputs", "rom_encoding",
                 "force_compaction", "aspect", "lut_k")),
         make_stage("eco-patch", _stage_eco_patch, ("parse", "rom-map"),
                ("eco_kiss", "eco_name", "eco_states", "eco_reset")),
@@ -241,7 +241,6 @@ def eco_config(
     device: Optional[Device],
     params: PowerParams,
     verify: bool,
-    backend: Union[None, str, MemoryBlockModel],
 ) -> Dict[str, Any]:
     """Build the pipeline config for one ECO run.
 
@@ -260,7 +259,6 @@ def eco_config(
         params=params,
         with_clock_control=False,
         verify=verify,
-        backend=backend,
     )
     config["eco_fsm"] = new_fsm
     config["eco_kiss"] = format_kiss(new_fsm)
@@ -283,7 +281,6 @@ def eco_evaluate(
     device: Optional[Device] = None,
     params: PowerParams = VIRTEX2_PARAMS,
     verify: bool = True,
-    backend: Union[None, str, MemoryBlockModel] = None,
     should_cancel=None,
 ) -> Tuple[EcoResult, PipelineReport]:
     """Absorb a ROM-only edit to ``old`` and re-evaluate incrementally.
@@ -320,7 +317,6 @@ def eco_evaluate(
         device=device,
         params=params,
         verify=verify,
-        backend=backend,
     )
     outcome = build_eco_pipeline().run(
         config, cache=resolve_cache(cache), should_cancel=should_cancel

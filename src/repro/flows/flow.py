@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.arch.device import Device
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.arch.timing import TimingReport
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
@@ -115,7 +114,6 @@ def evaluation_config(
     params: PowerParams = VIRTEX2_PARAMS,
     with_clock_control: bool = True,
     verify: bool = True,
-    backend: Union[None, str, MemoryBlockModel] = None,
     rom_encoding: Optional[str] = None,
     force_compaction: bool = False,
     aspect: Optional[str] = None,
@@ -126,10 +124,7 @@ def evaluation_config(
 
     A named benchmark is keyed by its name; an ad-hoc FSM object is
     keyed by its canonical KISS2 text, so the same machine reaches the
-    same cache entries however it enters the flow.  ``backend`` (a
-    memory-block technology, see :mod:`repro.arch.memblock`) is stored
-    as its resolved canonical name, so the default and an explicit
-    ``"virtex2-bram"`` share cache entries and coalesce as one job.
+    same cache entries however it enters the flow.
 
     ``rom_encoding``/``force_compaction``/``aspect`` plumb a tuned
     mapper configuration (e.g. a :mod:`repro.tune` frontier point) into
@@ -146,7 +141,6 @@ def evaluation_config(
         "params": params,
         "with_clock_control": with_clock_control,
         "verify": verify,
-        "backend": resolve_backend(backend).name,
         "rom_encoding": rom_encoding,
         "force_compaction": bool(force_compaction),
         "aspect": aspect,
@@ -221,7 +215,6 @@ def evaluate_benchmark(
     with_clock_control: bool = True,
     verify: bool = True,
     cache: Union[None, bool, str, ArtifactCache] = None,
-    backend: Union[None, str, MemoryBlockModel] = None,
     rom_encoding: Optional[str] = None,
     force_compaction: bool = False,
     aspect: Optional[str] = None,
@@ -233,10 +226,8 @@ def evaluate_benchmark(
     Table 2 numbers (ff_power/rom_power) use uniform random stimulus;
     Table 3 numbers (rom_cc_power) use the idle-biased stimulus with the
     requested target fraction, with the clock-control design verified on
-    it as well.  ``backend`` selects the memory-block technology the
-    ROM implementations target (default: Virtex-II BlockRAM);
-    ``rom_encoding``/``force_compaction``/``aspect`` replay a tuned
-    mapper configuration (see :mod:`repro.tune`).
+    it as well.  ``rom_encoding``/``force_compaction``/``aspect`` replay
+    a tuned mapper configuration (see :mod:`repro.tune`).
     """
     result, _ = evaluate_benchmark_detailed(
         name_or_fsm,
@@ -250,7 +241,6 @@ def evaluate_benchmark(
         params=params,
         with_clock_control=with_clock_control,
         verify=verify,
-        backend=backend,
         rom_encoding=rom_encoding,
         force_compaction=force_compaction,
         aspect=aspect,

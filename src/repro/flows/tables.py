@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.bench.suite import PAPER_BENCHMARKS
 from repro.flows.flow import PAPER_FREQUENCIES_MHZ, EvaluationResult, evaluate_many
 from repro.pipeline.cache import ArtifactCache
@@ -56,7 +55,7 @@ class TableResult:
 # (results are identical for any jobs/cache setting, so neither is part
 # of the memo key).  The cross-process memo is the artifact cache.
 _RESULTS_MEMO: Dict[
-    Tuple[int, int, float, str], Dict[str, EvaluationResult]
+    Tuple[int, int, float], Dict[str, EvaluationResult]
 ] = {}
 _LAST_MANIFEST: Optional[RunManifest] = None
 
@@ -67,22 +66,18 @@ def run_all(
     idle_fraction: float = 0.5,
     jobs: int = 1,
     cache: Union[None, bool, str, ArtifactCache] = None,
-    backend: Union[None, str, MemoryBlockModel] = None,
 ) -> Dict[str, EvaluationResult]:
     """Evaluate the full benchmark set (memoized across the four tables).
 
     ``jobs`` shards the nine independent benchmark evaluations across
     worker processes; ``cache`` (a directory or ready
     :class:`~repro.pipeline.cache.ArtifactCache`) serves repeated runs
-    from the content-addressed artifact store.  ``backend`` regenerates
-    the tables for another memory-block technology (the paper's numbers
-    are the default ``virtex2-bram``).  The per-run stage timings and
-    hit/miss counts are available afterwards from
+    from the content-addressed artifact store.  The per-run stage
+    timings and hit/miss counts are available afterwards from
     :func:`last_run_manifest`.
     """
     global _LAST_MANIFEST
-    backend_name = resolve_backend(backend).name
-    key = (num_cycles, seed, idle_fraction, backend_name)
+    key = (num_cycles, seed, idle_fraction)
     if key in _RESULTS_MEMO:
         return _RESULTS_MEMO[key]
     results, manifest = evaluate_many(
@@ -92,7 +87,6 @@ def run_all(
         num_cycles=num_cycles,
         seed=seed,
         idle_fraction=idle_fraction,
-        backend=backend_name,
     )
     _RESULTS_MEMO[key] = results
     _LAST_MANIFEST = manifest

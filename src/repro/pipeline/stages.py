@@ -25,10 +25,8 @@ Config keys consumed by the stages (see ``evaluation_config`` in
 :mod:`repro.flows.flow` for how they are assembled): ``benchmark``,
 ``kiss``, ``name``, ``encoding``, ``lut_k``, ``moore_outputs``,
 ``num_cycles``, ``seed``, ``idle_fraction``, ``verify``,
-``with_clock_control``, ``frequencies``, ``device``, ``params``,
-``backend`` (the memory-block technology name; part of the ``rom-map``/
-``rom-cc`` cache keys so artifacts from different fabrics never
-collide), plus the tuner-plumbed mapper options ``rom_encoding``
+``with_clock_control``, ``frequencies``, ``device``, ``params``, plus
+the tuner-plumbed mapper options ``rom_encoding``
 (pluggable state assignment, see :mod:`repro.fsm.assign`),
 ``force_compaction`` and ``aspect`` (pin one block aspect ratio) —
 ``None``/``False`` defaults reproduce the paper's fixed heuristic.
@@ -40,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.device import Device, get_device
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.encoding import StateEncoding, make_encoding
 from repro.fsm.kiss import parse_kiss
@@ -80,8 +79,9 @@ STAGE_VERSIONS: Dict[str, str] = {
     "ff-synth": "1",
     "rom-map": "1",
     "rom-cc": "1",
-    # 2: RomTrace gained address_stream/enable_stream (overlay replay).
-    "simulate": "2",
+    # 3: RomTrace lost its per-cycle address/enable streams, which only
+    # the deleted multi-FSM overlay replay read.
+    "simulate": "3",
     "activity": "1",
     "power": "1",
     # flows.design's candidate-evaluation stage rides the same registry.
@@ -89,7 +89,8 @@ STAGE_VERSIONS: Dict[str, str] = {
     # flows.eco's incremental ECO path (paper §4.2): patch the mapped ROM
     # image in place, re-simulate with the codegen replayer, re-estimate.
     "eco-patch": "1",
-    "eco-simulate": "1",
+    # 2: the embedded RomTrace lost its address/enable streams.
+    "eco-simulate": "2",
     "eco-power": "1",
     # repro.tune's candidate-evaluation pipeline: map one fingerprinted
     # tuner candidate, then score it (power × area × timing) on the
@@ -211,7 +212,6 @@ def _rom_map(ctx: StageContext, clock_control: bool) -> RomFsmImplementation:
     mode = ctx.cfg("moore_outputs") or paper_moore_output_mode(fsm)
     return map_fsm_to_rom(
         fsm, clock_control=clock_control, moore_outputs=mode,
-        backend=ctx.cfg("backend"),
         encoding=ctx.cfg("rom_encoding"),
         force_compaction=bool(ctx.cfg("force_compaction", False)),
         aspect=ctx.cfg("aspect"),
@@ -288,9 +288,7 @@ def _stage_power(ctx: StageContext) -> PowerBundle:
     device = _resolve_device(ctx.cfg("device"))
     params = _resolve_params(ctx.cfg("params"))
     frequencies = ctx.cfg("frequencies") or ()
-    # Block timing comes from the rom-map artifact's technology backend
-    # (the Virtex-II backend carries the historical TimingModel values).
-    timing = rom_impl.backend_model.timing_model(params.interconnect)
+    timing = VIRTEX2_BRAM.timing_model(params.interconnect)
 
     ff_power: Dict[str, PowerReport] = {}
     rom_power: Dict[str, PowerReport] = {}
@@ -362,13 +360,13 @@ def build_evaluation_pipeline(with_clock_control: bool = True) -> Pipeline:
         make_stage("ff-synth", _stage_ff_synth,
                ("parse", "complete-encode"), ("encoding", "lut_k")),
         make_stage("rom-map", _stage_rom_map, ("parse",),
-               ("moore_outputs", "backend", "rom_encoding",
+               ("moore_outputs", "rom_encoding",
                 "force_compaction", "aspect", "lut_k")),
     ]
     if with_clock_control:
         stages.append(
             make_stage("rom-cc", _stage_rom_cc, ("parse",),
-                   ("moore_outputs", "backend", "rom_encoding",
+                   ("moore_outputs", "rom_encoding",
                     "force_compaction", "aspect", "lut_k"))
         )
     stages += [

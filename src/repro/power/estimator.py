@@ -71,14 +71,11 @@ def _interconnect_mw(
     params: PowerParams,
     frequency_mhz: float,
     utilization: float,
-    cascade_cap_pf: Optional[float] = None,
 ) -> float:
-    if cascade_cap_pf is None:
-        cascade_cap_pf = params.c_bram_cascade_pf
     energy = 0.0
     for net in nets:
         if net.dedicated:
-            cap = cascade_cap_pf
+            cap = params.c_bram_cascade_pf
         else:
             cap = params.interconnect.net_capacitance_pf(net.fanout, utilization)
         energy += params.energy_pj(cap, net.toggles_per_cycle)
@@ -142,22 +139,12 @@ def estimate_rom_power(
     device: Optional[Device] = None,
     params: PowerParams = VIRTEX2_PARAMS,
 ) -> PowerReport:
-    """Power of the ROM implementation at ``frequency_mhz``.
-
-    All technology-specific terms — per-edge read energy, the cascade
-    capacitance of series joining, the clock load one block presents,
-    and static (leakage/bias) power — come from the implementation's
-    memory-block backend (:mod:`repro.arch.memblock`).  The Virtex-II
-    backend delegates every callback to ``params``, reproducing the
-    historical estimator bit-for-bit.
-    """
+    """Dynamic power of the ROM implementation at ``frequency_mhz``."""
     device = device or get_device()
     utilization = device.slice_utilization(impl.utilization)
-    backend = impl.backend_model
 
     interconnect = _interconnect_mw(
-        activity.nets, params, frequency_mhz, utilization,
-        cascade_cap_pf=backend.cascade_cap_pf(params),
+        activity.nets, params, frequency_mhz, utilization
     )
     logic = _logic_mw(activity.lut_output_activity, params, frequency_mhz)
     io = params.power_mw(
@@ -174,11 +161,11 @@ def estimate_rom_power(
         impl.config.addr_bits,
     )
     lane_data_bits = -(-activity.data_bits_used // impl.parallel_brams)
-    per_edge = backend.edge_energy_pj(
-        lane_addr_bits, lane_data_bits, True, params
+    per_edge = params.bram_edge_energy_pj(
+        lane_addr_bits, lane_data_bits, True
     )
-    idle_edge = backend.edge_energy_pj(
-        lane_addr_bits, lane_data_bits, False, params
+    idle_edge = params.bram_edge_energy_pj(
+        lane_addr_bits, lane_data_bits, False
     )
     bram_energy = impl.num_brams * (
         duty * per_edge + (1.0 - duty) * idle_edge
@@ -188,25 +175,19 @@ def estimate_rom_power(
     # Clock tree: trunk plus one leaf region per physical block.
     clock_cap = (
         params.c_clock_tree_base_pf
-        + backend.clock_load_pf(params) * impl.num_brams
+        + params.c_clock_tree_per_load_pf * impl.num_brams
     )
     clock = params.power_mw(params.energy_pj(clock_cap, 2.0), frequency_mhz)
 
     suffix = "+cc" if impl.clock_control is not None else ""
-    components = {
-        "interconnect": interconnect,
-        "logic": logic,
-        "clock": clock,
-        "bram": bram,
-        "io": io,
-    }
-    # Static power appears only for backends that leak/bias (keeping the
-    # Virtex-II dynamic-only report shape untouched).
-    static = backend.static_power_mw(impl.num_brams)
-    if static:
-        components["static"] = static
     return PowerReport(
         label=f"{impl.fsm.name}/rom{suffix}",
         frequency_mhz=frequency_mhz,
-        components_mw=components,
+        components_mw={
+            "interconnect": interconnect,
+            "logic": logic,
+            "clock": clock,
+            "bram": bram,
+            "io": io,
+        },
     )

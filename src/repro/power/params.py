@@ -90,11 +90,6 @@ class PowerParams:
         number of inputs and outputs and the number of states increases
         the power consumption of a blockram" — through the exercised
         address (word-line) and data (bit-line) geometry.
-
-        This is the Virtex-II calibration; the estimator reaches it via
-        the ``virtex2-bram`` backend's ``edge_energy_pj`` callback
-        (:mod:`repro.arch.memblock`), which delegates here verbatim.
-        Other technology backends supply their own parameter sets.
         """
         if not enabled:
             return self.energy_pj(self.c_bram_clk_disabled_pf)

@@ -19,12 +19,12 @@ cases — which is what the equivalence tests compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.bram import BlockRam, BramConfig
 from repro.arch.device import Utilization
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
+from repro.arch.memblock import VIRTEX2_BRAM, Virtex2BramModel
 from repro.fsm.encoding import StateEncoding
 from repro.fsm.machine import FSM, FsmError
 from repro.logic.lutmap import LutMapping
@@ -35,7 +35,6 @@ from repro.synth import codegen
 from repro.synth.wordsim import (
     pack_bit_column,
     transpose_words,
-    unpack_word,
     word_toggles,
 )
 
@@ -57,11 +56,6 @@ class RomTrace:
     moore_toggles: Dict[str, int]
     control_toggles: Dict[str, int]
     enabled_edges: int
-    # Per-cycle memory port streams: the address presented at edge k and
-    # whether the edge was enabled.  The overlay replay interleaves these
-    # onto a shared physical block (see :mod:`repro.overlay.replay`).
-    address_stream: List[int] = field(default_factory=list)
-    enable_stream: List[int] = field(default_factory=list)
 
     @property
     def enable_duty(self) -> float:
@@ -101,11 +95,9 @@ class RomFsmImplementation:
     clock_control:
         The §6 enable logic, when requested.
     backend:
-        The memory-block technology model the mapping targeted (see
-        :mod:`repro.arch.memblock`); ``None`` means the Virtex-II
-        default.  Being a dataclass field, the backend participates in
-        the artifact fingerprint, so mappings for different fabrics
-        never collide in the content-addressed cache.
+        The memory-block record (:data:`~repro.arch.memblock.VIRTEX2_BRAM`).
+        It is a dataclass field only so that the artifact fingerprint
+        keeps committing to the block's parameters.
     """
 
     fsm: FSM
@@ -119,7 +111,7 @@ class RomFsmImplementation:
     mux_mapping: Optional[LutMapping] = None
     moore_output_mapping: Optional[LutMapping] = None
     clock_control: Optional[ClockControl] = None
-    backend: Optional[MemoryBlockModel] = None
+    backend: Virtex2BramModel = VIRTEX2_BRAM
 
     def __post_init__(self) -> None:
         if len(self.contents) != self.layout.depth:
@@ -135,11 +127,6 @@ class RomFsmImplementation:
     # ------------------------------------------------------------------
     # Resource accounting
     # ------------------------------------------------------------------
-
-    @property
-    def backend_model(self) -> MemoryBlockModel:
-        """The resolved technology model (Virtex-II BRAM when unset)."""
-        return resolve_backend(self.backend)
 
     @property
     def num_brams(self) -> int:
@@ -435,8 +422,6 @@ class RomFsmImplementation:
             moore_toggles=net_toggle_counts(moore_nets),
             control_toggles=net_toggle_counts(ctl_nets),
             enabled_edges=enabled,
-            address_stream=addrs,
-            enable_stream=unpack_word(en_word, num_cycles),
         ), last_read
 
     def run_reference(
@@ -475,8 +460,6 @@ class RomFsmImplementation:
 
         outputs: List[int] = []
         states: List[str] = [self.fsm.reset_state]
-        addresses: List[int] = []
-        enables: List[int] = []
         enabled = 0
 
         for input_bits in stimulus:
@@ -506,8 +489,6 @@ class RomFsmImplementation:
             count_bits("in", self.fsm.num_inputs, input_bits)
             count_bits("addr", self.layout.addr_bits, addr)
             count_bits("en", 1, en)
-            addresses.append(addr)
-            enables.append(1 if en else 0)
 
             word_after = self._rom.clock(addr, bool(en))
             if en:
@@ -537,8 +518,6 @@ class RomFsmImplementation:
             moore_toggles=moore_toggles,
             control_toggles=control_toggles,
             enabled_edges=enabled,
-            address_stream=addresses,
-            enable_stream=enables,
         )
 
     # ------------------------------------------------------------------

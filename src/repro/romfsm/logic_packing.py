@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.bram import BramConfig
-from repro.arch.memblock import resolve_backend
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping, MappedLut
 
 __all__ = ["LogicPack", "PackedNetlist", "pack_logic_into_brams"]
@@ -107,7 +107,6 @@ def pack_logic_into_brams(
     max_brams: int = 1,
     min_luts_per_block: int = 4,
     exclude_outputs: Sequence[str] = (),
-    backend=None,
 ) -> PackedNetlist:
     """Absorb output cones of ``mapping`` into up to ``max_brams`` blocks.
 
@@ -125,11 +124,8 @@ def pack_logic_into_brams(
     exclude_outputs:
         Output names that must stay in LUTs (e.g. next-state bits whose
         nets also feed registers).
-    backend:
-        Memory-block technology backend supplying the aspect ratios
-        (name, model, or ``None`` for the Virtex-II default).
     """
-    mem = resolve_backend(backend)
+    mem = VIRTEX2_BRAM
     select_config = mem.select_config
     max_addr = mem.max_addr_bits
     excluded = set(exclude_outputs)

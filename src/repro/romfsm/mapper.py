@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from repro.arch.bram import BramConfig
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.machine import FSM, FsmError
 from repro.logic.lutmap import LutMapping, map_network, map_truth_tables
@@ -124,7 +124,6 @@ def map_fsm_to_rom(
     clock_control: bool = False,
     force_compaction: bool = False,
     max_idle_cubes: int = 8,
-    backend=None,
     encoding: Union[None, str, StateEncoding] = None,
     aspect: Optional[str] = None,
 ) -> RomFsmImplementation:
@@ -149,11 +148,6 @@ def map_fsm_to_rom(
     max_idle_cubes:
         Clock-control area budget (see
         :func:`repro.romfsm.clock_control.synthesize_clock_control`).
-    backend:
-        Memory-block technology backend: a registered name, a
-        :class:`~repro.arch.memblock.MemoryBlockModel`, or ``None`` for
-        the Virtex-II BlockRAM default.  The backend answers every
-        aspect-ratio/series legality question below.
     encoding:
         ROM state assignment: ``None`` for the paper's dense binary, a
         strategy name (see :mod:`repro.fsm.assign`), or a ready
@@ -161,7 +155,7 @@ def map_fsm_to_rom(
         (validated) — the assignment changes which address/data lines
         toggle, not the mapping legality.
     aspect:
-        Pin the block aspect ratio to one named backend configuration
+        Pin the block aspect ratio to one named Virtex-II configuration
         (e.g. ``"512x36"``) instead of the widest-fit policy; raises
         :class:`MappingError` when the machine cannot fit that shape.
 
@@ -171,7 +165,7 @@ def map_fsm_to_rom(
     """
     if moore_outputs not in ("auto", "external", "internal"):
         raise ValueError(f"bad moore_outputs option {moore_outputs!r}")
-    mem: MemoryBlockModel = resolve_backend(backend)
+    mem = VIRTEX2_BRAM
     fsm.validate()
     forced: Optional[BramConfig] = None
     if aspect is not None:
@@ -328,7 +322,6 @@ def map_fsm_to_rom(
         compaction=compaction,
         mux_mapping=mux_mapping,
         moore_output_mapping=moore_mapping,
-        backend=mem,
     )
     if clock_control:
         impl.clock_control = synthesize_clock_control(

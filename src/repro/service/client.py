@@ -211,12 +211,11 @@ class ServiceClient:
         """POST /v1/tune: search mapper configurations for the Pareto
         frontier.
 
-        ``options`` pass through to the request body (``backend``,
-        ``num_cycles``, ``seed``, ``frequency_mhz``, ``verify``,
-        ``prune``).  The answer's ``result`` field is the replayable
-        frontier artifact — save it verbatim and it feeds
-        ``romfsm eval --tuned``.  Identical tune requests coalesce
-        server-side onto one search.
+        ``options`` pass through to the request body (``num_cycles``,
+        ``seed``, ``frequency_mhz``, ``verify``, ``prune``).  The
+        answer's ``result`` field is the replayable frontier artifact —
+        save it verbatim and it feeds ``romfsm eval --tuned``.
+        Identical tune requests coalesce server-side onto one search.
         """
         body: Dict[str, Any] = dict(options)
         if benchmark is not None:

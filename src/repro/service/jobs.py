@@ -22,11 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.arch.memblock import (
-    DEFAULT_BACKEND_NAME,
-    UnknownBackendError,
-    resolve_backend,
-)
 from repro.bench.suite import BENCHMARK_SPECS
 from repro.flows.flow import (
     PAPER_FREQUENCIES_MHZ,
@@ -61,18 +56,18 @@ MAX_TUNE_CYCLES = 20_000
 
 _EVALUATE_FIELDS = {
     "kind", "benchmark", "kiss", "name", "frequencies_mhz", "num_cycles",
-    "idle_fraction", "seed", "encoding", "with_clock_control", "backend",
+    "idle_fraction", "seed", "encoding", "with_clock_control",
 }
 _MAP_FIELDS = {
     "kind", "benchmark", "kiss", "name", "clock_control", "moore_outputs",
-    "force_compaction", "backend",
+    "force_compaction",
 }
 _ECO_FIELDS = {
     "kind", "benchmark", "kiss", "name", "edits", "new_kiss", "new_name",
-    "old_fingerprint", "frequencies_mhz", "num_cycles", "seed", "backend",
+    "old_fingerprint", "frequencies_mhz", "num_cycles", "seed",
 }
 _TUNE_FIELDS = {
-    "kind", "benchmark", "kiss", "name", "backend", "num_cycles", "seed",
+    "kind", "benchmark", "kiss", "name", "num_cycles", "seed",
     "frequency_mhz", "verify", "prune",
 }
 _ENCODINGS = ("binary", "gray", "one-hot", "johnson")
@@ -157,19 +152,6 @@ def _flag(body: Dict[str, Any], key: str, default: bool) -> bool:
     return value
 
 
-def _backend(body: Dict[str, Any]) -> str:
-    """The request's memory-block backend as a canonical registered name."""
-    value = body.get("backend")
-    if value is None:
-        return DEFAULT_BACKEND_NAME
-    if not isinstance(value, str):
-        raise JobError("'backend' must be a string", reason="unknown_backend")
-    try:
-        return resolve_backend(value).name
-    except UnknownBackendError as exc:
-        raise JobError(str(exc), reason="unknown_backend")
-
-
 def parse_job(body: Any, kind: str = "evaluate") -> Job:
     """Validate a decoded request body into a :class:`Job` (or raise)."""
     if not isinstance(body, dict):
@@ -216,7 +198,6 @@ def _parse_evaluate(body: Dict[str, Any]) -> Job:
         "seed": _number(body, "seed", 2004, 0, 2**63 - 1, integer=True),
         "encoding": _choice(body, "encoding", "binary", _ENCODINGS),
         "with_clock_control": _flag(body, "with_clock_control", True),
-        "backend": _backend(body),
     }
     config = evaluation_config(
         spec["name_or_fsm"],
@@ -226,7 +207,6 @@ def _parse_evaluate(body: Dict[str, Any]) -> Job:
         seed=spec["seed"],
         encoding=spec["encoding"],
         with_clock_control=spec["with_clock_control"],
-        backend=spec["backend"],
     )
     return Job(
         kind="evaluate",
@@ -246,7 +226,6 @@ def _parse_map(body: Dict[str, Any]) -> Job:
         "clock_control": _flag(body, "clock_control", False),
         "moore_outputs": _choice(body, "moore_outputs", "auto", _MOORE_MODES),
         "force_compaction": _flag(body, "force_compaction", False),
-        "backend": _backend(body),
     }
     key_spec = dict(spec)
     if isinstance(name_or_fsm, FSM):
@@ -354,7 +333,6 @@ def _parse_eco(body: Dict[str, Any]) -> Job:
         "frequencies_mhz": tuple(float(f) for f in frequencies),
         "num_cycles": _number(body, "num_cycles", 2000, 1, MAX_CYCLES, integer=True),
         "seed": _number(body, "seed", 2004, 0, 2**63 - 1, integer=True),
-        "backend": _backend(body),
     }
     from repro.fsm.kiss import format_kiss
 
@@ -376,7 +354,7 @@ def _parse_tune(body: Dict[str, Any]) -> Job:
     """Validate a ``POST /v1/tune`` body.
 
     The job key is the content fingerprint of the resolved tune request
-    (machine + backend + settings), so identical tune requests coalesce
+    (machine + settings), so identical tune requests coalesce
     onto one search exactly like evaluations do — a tuning run is
     deterministic, every waiter gets the same frontier.
     """
@@ -393,7 +371,6 @@ def _parse_tune(body: Dict[str, Any]) -> Job:
         "frequency_mhz": _number(body, "frequency_mhz", 100.0, 1e-3, 10_000.0),
         "verify": _flag(body, "verify", True),
         "prune": _flag(body, "prune", True),
-        "backend": _backend(body),
     }
     key_spec = dict(spec)
     if isinstance(name_or_fsm, FSM):
@@ -494,7 +471,6 @@ def evaluate_payload(result: EvaluationResult) -> Dict[str, Any]:
             "encoding": result.ff_impl.encoding.style,
         },
         "rom": {
-            "backend": rom.backend_model.name,
             "bram_config": rom.config.name,
             "brams": rom.num_brams,
             "addr_bits": rom.layout.addr_bits,
@@ -515,7 +491,6 @@ def map_payload(impl) -> Dict[str, Any]:
     """JSON-ready description of one ROM mapping (the compile job)."""
     util = impl.utilization
     payload = {
-        "backend": impl.backend_model.name,
         "bram_config": impl.config.name,
         "brams": impl.num_brams,
         "parallel_brams": impl.parallel_brams,
@@ -553,7 +528,6 @@ def eco_payload(result) -> Dict[str, Any]:
         "old_fingerprint": result.old_rom_fingerprint,
         "new_fingerprint": result.new_rom_fingerprint,
         "rom": {
-            "backend": impl.backend_model.name,
             "bram_config": impl.config.name,
             "brams": impl.num_brams,
             "addr_bits": impl.layout.addr_bits,
@@ -613,7 +587,6 @@ def run_job(
             seed=spec["seed"],
             encoding=spec["encoding"],
             with_clock_control=spec["with_clock_control"],
-            backend=spec["backend"],
         )
         return evaluate_payload(result), list(report.records)
     if job.kind == "map":
@@ -630,7 +603,6 @@ def run_job(
             clock_control=spec["clock_control"],
             moore_outputs=spec["moore_outputs"],
             force_compaction=spec["force_compaction"],
-            backend=spec["backend"],
         )
         return map_payload(impl), []
     if job.kind == "tune":
@@ -641,7 +613,6 @@ def run_job(
         # search evaluates inline instead of nesting a process pool.
         result = tune_benchmark(
             spec["name_or_fsm"],
-            backend=spec["backend"],
             jobs=1,
             cache=cache,
             num_cycles=spec["num_cycles"],
@@ -665,7 +636,6 @@ def run_job(
                 frequencies_mhz=spec["frequencies_mhz"],
                 num_cycles=spec["num_cycles"],
                 seed=spec["seed"],
-                backend=spec["backend"],
             )
         except EcoError as exc:
             raise JobError(str(exc), reason="eco_rejected") from exc

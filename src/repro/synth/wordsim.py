@@ -2,11 +2,10 @@
 
 The paper's flow spends most of its simulation time clocking a mapped
 netlist through thousands of stimulus cycles one Python call at a time.
-The trick used here (the bit-parallel evaluation FSM-overlay work leans
-on, cf. Wilson & Stitt, arXiv:1705.02732) turns the time axis into bit
-positions: every net holds one Python big-int *word* whose bit ``k`` is
-the net's value in cycle ``k``.  A K-LUT output over the whole trace is
-then at most ``2**K`` big-int AND/OR/NOT operations
+The trick used here turns the time axis into bit positions: every net
+holds one Python big-int *word* whose bit ``k`` is the net's value in
+cycle ``k``.  A K-LUT output over the whole trace is then at most
+``2**K`` big-int AND/OR/NOT operations
 (:meth:`repro.logic.truthtable.TruthTable.evaluate_word`), and a net's
 toggle count collapses to one XOR/shift/popcount.
 
@@ -32,7 +31,6 @@ __all__ = [
     "pack_bit_column",
     "unpack_word",
     "transpose_words",
-    "interleave_words",
     "word_toggles",
     "evaluate_mapping_words",
 ]
@@ -102,28 +100,6 @@ def transpose_words(bit_words: Sequence[int], num_cycles: int) -> List[int]:
             word ^= low
             rows[low.bit_length() - 1] |= probe
     return rows
-
-
-def interleave_words(words: Sequence[int], stride: int = 0) -> int:
-    """Round-robin interleave packed per-stream words into one stream.
-
-    Bit ``k`` of ``words[t]`` lands at bit ``k * stride + t`` of the
-    result — the time-multiplexing rule of the overlay replay, where
-    ``stride`` streams take turns on one physical port (tenant ``t`` is
-    serviced at global cycles ``t, t + stride, ...``).  ``stride``
-    defaults to ``len(words)``; a larger value leaves gap slots at zero.
-    Iterates set bits only, so mostly-idle streams cost almost nothing.
-    """
-    n = stride or len(words)
-    if n < len(words):
-        raise ValueError(f"stride {n} < {len(words)} streams")
-    out = 0
-    for t, word in enumerate(words):
-        while word:
-            low = word & -word
-            word ^= low
-            out |= 1 << ((low.bit_length() - 1) * n + t)
-    return out
 
 
 def word_toggles(word: int, num_samples: int) -> int:

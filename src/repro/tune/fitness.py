@@ -19,11 +19,11 @@ Objectives (all to be minimised):
   under the shared uniform stimulus (clock-controlled candidates profit
   from their machine's natural idle occupancy);
 * ``area``     — LUT-equivalent cost, ``brams × BLOCK_LUT_EQUIV + luts``;
-* ``delay_ns`` — critical path from the backend's timing model.
+* ``delay_ns`` — critical path from the block's timing model.
 
 :func:`power_lower_bound` computes the provable floor the search uses
-to prune: clock tree and static terms are exact functions of the block
-count, the block read term is bounded below by the cheaper of the
+to prune: the clock tree term is an exact function of the block count,
+the block read term is bounded below by the cheaper of the
 active/idle edge energies (enable duty is in [0, 1]), and the
 interconnect/logic/IO buckets are nonnegative.  No simulated power can
 come in under this floor, so discarding a candidate whose floor is
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.arch.device import get_device
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.simulate import FsmSimulator, random_stimulus
 from repro.pipeline.pipeline import Pipeline
@@ -115,8 +116,8 @@ class ImplBounds:
     def area(self) -> int:
         return self.num_brams * BLOCK_LUT_EQUIV + self.num_luts
 
-    def timing(self, backend, params: PowerParams = VIRTEX2_PARAMS) -> TimingReport:
-        timing = backend.timing_model(params.interconnect)
+    def timing(self, params: PowerParams = VIRTEX2_PARAMS) -> TimingReport:
+        timing = VIRTEX2_BRAM.timing_model(params.interconnect)
         report = timing.rom_implementation(
             mux_levels=self.mux_levels, series_brams=self.series_brams
         )
@@ -126,18 +127,17 @@ class ImplBounds:
 
     def power_floor(
         self,
-        backend,
         frequency_mhz: float = DEFAULT_TUNE_FREQUENCY_MHZ,
         params: PowerParams = VIRTEX2_PARAMS,
         duty_floor: float = 0.0,
         extra_mw: float = 0.0,
     ) -> float:
         """See :func:`power_lower_bound` (this is its implementation)."""
-        per_edge = backend.edge_energy_pj(
-            self.lane_addr_bits, self.lane_data_bits, True, params
+        per_edge = params.bram_edge_energy_pj(
+            self.lane_addr_bits, self.lane_data_bits, True
         )
-        idle_edge = backend.edge_energy_pj(
-            self.lane_addr_bits, self.lane_data_bits, False, params
+        idle_edge = params.bram_edge_energy_pj(
+            self.lane_addr_bits, self.lane_data_bits, False
         )
         duty_floor = min(1.0, max(0.0, duty_floor))
         edge_floor = min(
@@ -147,17 +147,12 @@ class ImplBounds:
         bram_floor = self.num_brams * edge_floor
         clock_cap = (
             params.c_clock_tree_base_pf
-            + backend.clock_load_pf(params) * self.num_brams
+            + params.c_clock_tree_per_load_pf * self.num_brams
         )
         clock = params.power_mw(
             params.energy_pj(clock_cap, 2.0), frequency_mhz
         )
-        return (
-            clock
-            + params.power_mw(bram_floor, frequency_mhz)
-            + backend.static_power_mw(self.num_brams)
-            + extra_mw
-        )
+        return clock + params.power_mw(bram_floor, frequency_mhz) + extra_mw
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -190,8 +185,8 @@ class ImplBounds:
 def candidate_timing(
     impl: RomFsmImplementation, params: PowerParams = VIRTEX2_PARAMS
 ) -> TimingReport:
-    """Critical path of a mapped candidate from its backend's model."""
-    return ImplBounds.of(impl, "").timing(impl.backend_model, params)
+    """Critical path of a mapped candidate."""
+    return ImplBounds.of(impl, "").timing(params)
 
 
 def power_lower_bound(
@@ -203,21 +198,20 @@ def power_lower_bound(
 ) -> float:
     """A provable floor (mW) under any simulated power of ``impl``.
 
-    Exact terms: clock tree (trunk + per-block leaf load, two edges per
-    cycle) and backend static power — both functions of the block count
-    alone.  Bounded term: block read energy at the cheapest enable duty
-    in ``[duty_floor, 1]``.  Without clock control the duty is exactly
-    1; with it a stopped cycle must be a state hold (the registers keep
-    their values), so the duty can never drop under one minus the
-    reference trajectory's self-loop fraction — the search passes that
-    as ``duty_floor`` (with a small boundary margin).  The
-    interconnect and logic buckets are sums of nonnegative energies,
-    bounded below by zero; ``extra_mw`` adds any component the caller
-    knows exactly (the IO term — pad toggles are a property of the
-    verified-equivalent behaviour, not of the candidate).
+    Exact term: clock tree (trunk + per-block leaf load, two edges per
+    cycle) — a function of the block count alone.  Bounded term: block
+    read energy at the cheapest enable duty in ``[duty_floor, 1]``.
+    Without clock control the duty is exactly 1; with it a stopped cycle
+    must be a state hold (the registers keep their values), so the duty
+    can never drop under one minus the reference trajectory's self-loop
+    fraction — the search passes that as ``duty_floor`` (with a small
+    boundary margin).  The interconnect and logic buckets are sums of
+    nonnegative energies, bounded below by zero; ``extra_mw`` adds any
+    component the caller knows exactly (the IO term — pad toggles are a
+    property of the verified-equivalent behaviour, not of the
+    candidate).
     """
     return ImplBounds.of(impl, "").power_floor(
-        impl.backend_model,
         frequency_mhz=frequency_mhz,
         params=params,
         duty_floor=duty_floor,
@@ -239,7 +233,6 @@ def _stage_tune_map(ctx: StageContext) -> RomFsmImplementation:
         fsm,
         clock_control=bool(ctx.cfg("clock_control", False)),
         moore_outputs=ctx.cfg("moore_outputs") or "auto",
-        backend=ctx.cfg("backend"),
         encoding=ctx.cfg("rom_encoding"),
         force_compaction=bool(ctx.cfg("force_compaction", False)),
         aspect=ctx.cfg("aspect"),
@@ -293,7 +286,7 @@ def build_tune_pipeline() -> Pipeline:
         make_stage("parse", _stage_parse, (),
                    ("benchmark", "kiss", "name", "states", "reset")),
         make_stage("tune-map", _stage_tune_map, ("parse",),
-                   ("moore_outputs", "backend", "rom_encoding",
+                   ("moore_outputs", "rom_encoding",
                     "force_compaction", "aspect", "lut_k", "clock_control")),
         make_stage("tune-fitness", _stage_tune_fitness,
                    ("parse", "tune-map"),
@@ -305,7 +298,6 @@ def build_tune_pipeline() -> Pipeline:
 def tune_config(
     name_or_kiss: Tuple[str, Optional[str]],
     candidate_overrides: Dict[str, Any],
-    backend: str,
     num_cycles: int = DEFAULT_TUNE_CYCLES,
     seed: int = 2004,
     frequency: float = DEFAULT_TUNE_FREQUENCY_MHZ,
@@ -322,7 +314,6 @@ def tune_config(
     """
     name, kiss = name_or_kiss
     config: Dict[str, Any] = {
-        "backend": backend,
         "num_cycles": int(num_cycles),
         "seed": int(seed),
         "frequency": float(frequency),

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.tune.space import TuneCandidate
 
 __all__ = [
@@ -115,7 +116,6 @@ class TuneResult:
     """Everything one tuning run produced for one benchmark."""
 
     benchmark: str
-    backend: str
     frontier: List[FrontierPoint]
     baseline: FrontierPoint
     settings: Dict[str, Any]
@@ -143,7 +143,8 @@ class TuneResult:
         payload: Dict[str, Any] = {
             "schema": "repro.tune/frontier-v1",
             "benchmark": self.benchmark,
-            "backend": self.backend,
+            # The frontier-v1 schema names the target memory block.
+            "backend": VIRTEX2_BRAM.name,
             "settings": dict(sorted(self.settings.items())),
             "space": self.space,
             "baseline": self.baseline.as_dict(),
@@ -158,7 +159,7 @@ class TuneResult:
 
         Excludes ``stats`` (wall-clock, throughput, scheduling-dependent
         counters); everything else is a pure function of (benchmark,
-        backend, space, settings).
+        space, settings).
         """
         return json.dumps(
             self._payload(include_stats=False),
@@ -182,7 +183,6 @@ class TuneResult:
             raise ValueError(f"not a tune frontier artifact (schema={schema!r})")
         return cls(
             benchmark=str(data["benchmark"]),
-            backend=str(data["backend"]),
             frontier=[FrontierPoint.from_dict(p) for p in data["frontier"]],
             baseline=FrontierPoint.from_dict(data["baseline"]),
             settings=dict(data.get("settings", {})),
@@ -195,7 +195,7 @@ class TuneResult:
     def format_table(self) -> str:
         """Human-readable frontier table for the CLI."""
         header = (
-            f"Pareto frontier — {self.benchmark} on {self.backend} "
+            f"Pareto frontier — {self.benchmark} on {VIRTEX2_BRAM.name} "
             f"({len(self.frontier)} point(s))"
         )
         cols = (

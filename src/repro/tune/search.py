@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM, FsmError
 from repro.fsm.markov import clear_stationary_cache  # noqa: F401 (re-export)
@@ -168,7 +167,6 @@ def _eval_shard(item) -> Tuple[str, Dict[str, Any], int, int]:
 def tune_benchmark(
     name_or_fsm: Union[str, FSM],
     space: Optional[TuneSpace] = None,
-    backend: Union[None, str, MemoryBlockModel] = None,
     jobs: int = 1,
     cache: Union[None, bool, str, ArtifactCache] = None,
     num_cycles: int = DEFAULT_TUNE_CYCLES,
@@ -193,9 +191,8 @@ def tune_benchmark(
     """
     start = time.perf_counter()
     key_form, fsm, display = _resolve_target(name_or_fsm)
-    backend_model = resolve_backend(backend)
     if space is None:
-        space = default_space(fsm, backend_model)
+        space = default_space(fsm)
     candidates = space.enumerate()
 
     settings = {
@@ -236,7 +233,7 @@ def tune_benchmark(
     for candidate in [baseline] + candidates:
         map_key = map_stage.cache_key(
             {"parse": parse_fp},
-            {**candidate.config_overrides(), "backend": backend_model.name},
+            candidate.config_overrides(),
         )
         bounds: Optional[ImplBounds] = None
         if resolved_cache is not None:
@@ -250,8 +247,7 @@ def tune_benchmark(
                 bounds = ImplBounds.from_dict(data)
         if bounds is None:
             try:
-                impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs(),
-                                      backend=backend_model)
+                impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs())
             except (MappingError, FsmError):
                 infeasible += 1
                 if resolved_cache is not None:
@@ -276,11 +272,9 @@ def tune_benchmark(
             candidate=candidate,
             impl_fingerprint=impl_fp,
             group_size=1,
-            lb_power=bounds.power_floor(
-                backend_model, frequency_mhz, duty_floor=duty_floor
-            ),
+            lb_power=bounds.power_floor(frequency_mhz, duty_floor=duty_floor),
             area=float(bounds.area),
-            delay_ns=bounds.timing(backend_model).critical_path_ns,
+            delay_ns=bounds.timing().critical_path_ns,
             map_key=map_key,
         )
     baseline_fp = None
@@ -303,7 +297,6 @@ def tune_benchmark(
     def make_item(s: _Structure):
         config = tune_config(
             key_form, s.candidate.config_overrides(),
-            backend=backend_model.name,
             num_cycles=settings["num_cycles"],
             seed=settings["seed"],
             frequency=settings["frequency_mhz"],
@@ -414,14 +407,13 @@ def tune_benchmark(
         "jobs": max(1, jobs),
     }
     logger.info(kv(
-        "tune_done", benchmark=display, backend=backend_model.name,
+        "tune_done", benchmark=display,
         candidates=len(candidates), structures=len(structures),
         pruned=pruned, evaluated=len(evaluated),
         frontier=len(frontier), seconds=round(wall, 3),
     ))
     return TuneResult(
         benchmark=display,
-        backend=backend_model.name,
         frontier=frontier,
         baseline=baseline_point,
         settings=settings,
@@ -450,7 +442,6 @@ def tune_many(
 def replay_point(
     point: FrontierPoint,
     benchmark: Union[str, FSM],
-    backend: Union[None, str, MemoryBlockModel] = None,
     cache: Union[None, bool, str, ArtifactCache] = None,
     **settings,
 ) -> Dict[str, Any]:
@@ -463,7 +454,6 @@ def replay_point(
     key_form, _, _ = _resolve_target(benchmark)
     config = tune_config(
         key_form, point.candidate.config_overrides(),
-        backend=resolve_backend(backend).name,
         num_cycles=settings.get("num_cycles", DEFAULT_TUNE_CYCLES),
         seed=settings.get("seed", 2004),
         frequency=settings.get(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.memblock import MemoryBlockModel, resolve_backend
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.fsm.machine import FSM
 from repro.pipeline.artifact import fingerprint as artifact_fingerprint
 
@@ -39,7 +39,7 @@ class TuneCandidate:
 
     ``encoding`` names a ROM-legal state-assignment strategy from
     :data:`repro.fsm.assign.ENCODING_STRATEGIES` (``"annealed@<seed>"``
-    selects a seeded anneal).  ``aspect`` pins one of the backend's
+    selects a seeded anneal).  ``aspect`` pins one of the Virtex-II
     block aspect ratios by name (``None`` keeps the paper's widest-first
     heuristic).  ``lut_k`` sizes the glue-logic LUTs.
     """
@@ -168,24 +168,22 @@ class TuneSpace:
 
 def default_space(
     fsm: FSM,
-    backend: Optional[MemoryBlockModel] = None,
     anneal_seeds: Sequence[int] = (0,),
 ) -> TuneSpace:
-    """The default grid for one machine on one memory-block backend.
+    """The default grid for one machine.
 
     Encodings cover the registered strategies plus one seeded anneal per
     entry of ``anneal_seeds``; Moore machines with complete next-state
     functions additionally explore external output placement; every
-    aspect ratio the backend offers joins the widest-first heuristic.
+    aspect ratio the block offers joins the widest-first heuristic.
     """
-    backend = resolve_backend(backend)
     encodings: List[str] = ["binary", "gray"]
     encodings += [f"annealed@{seed}" for seed in anneal_seeds]
     moore_modes: List[str] = ["auto", "internal"]
     if fsm.is_moore():
         moore_modes.append("external")
     aspects: List[Optional[str]] = [None]
-    aspects += [config.name for config in backend.configs]
+    aspects += [config.name for config in VIRTEX2_BRAM.configs]
     return TuneSpace(
         encodings=tuple(encodings),
         moore_modes=tuple(moore_modes),

@@ -1,72 +1,14 @@
-"""Unit tests for the pluggable memory-block backend model."""
+"""Unit tests for the Virtex-II memory-block parameter record."""
 
 import pytest
 
 from repro.arch.bram import BRAM_CONFIGS, BramConfig, select_config
-from repro.arch.memblock import (
-    DEFAULT_BACKEND_NAME,
-    RERAM_1T1R,
-    VIRTEX2_BRAM,
-    MemoryBlockModel,
-    UnknownBackendError,
-    Virtex2BramModel,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-)
+from repro.arch.memblock import VIRTEX2_BRAM, Virtex2BramModel
 from repro.arch.timing import TimingModel
-from repro.power.params import VIRTEX2_PARAMS
-
-
-class TestRegistry:
-    def test_default_is_virtex2(self):
-        assert DEFAULT_BACKEND_NAME == "virtex2-bram"
-        assert resolve_backend() is VIRTEX2_BRAM
-        assert resolve_backend(None) is VIRTEX2_BRAM
-
-    def test_lookup_by_name(self):
-        assert get_backend("virtex2-bram") is VIRTEX2_BRAM
-        assert get_backend("reram-1t1r") is RERAM_1T1R
-        assert resolve_backend("reram-1t1r") is RERAM_1T1R
-
-    def test_model_passthrough(self):
-        assert resolve_backend(RERAM_1T1R) is RERAM_1T1R
-
-    def test_listing_default_first(self):
-        models = list_backends()
-        assert models[0] is VIRTEX2_BRAM
-        assert RERAM_1T1R in models
-
-    def test_unknown_name_lists_valid(self):
-        with pytest.raises(UnknownBackendError) as err:
-            get_backend("stt-mram")
-        message = str(err.value)
-        assert "unknown backend 'stt-mram'" in message
-        assert "virtex2-bram" in message and "reram-1t1r" in message
-        # Also a ValueError, so pre-backend except clauses still catch it.
-        assert isinstance(err.value, ValueError)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend(VIRTEX2_BRAM)
-
-    def test_registration_replace(self):
-        spare = Virtex2BramModel(
-            name="virtex2-bram",
-            description=VIRTEX2_BRAM.description,
-            configs=VIRTEX2_BRAM.configs,
-            block_bits=VIRTEX2_BRAM.block_bits,
-        )
-        try:
-            register_backend(spare, replace=True)
-            assert get_backend("virtex2-bram") is spare
-        finally:
-            register_backend(VIRTEX2_BRAM, replace=True)
 
 
 class TestVirtex2Parity:
-    """The registered default must agree with the legacy bram module."""
+    """The record must agree with the bram module and timing defaults."""
 
     def test_configs_are_the_bram_configs(self):
         assert VIRTEX2_BRAM.configs == BRAM_CONFIGS
@@ -81,20 +23,6 @@ class TestVirtex2Parity:
                 assert VIRTEX2_BRAM.select_config(addr_bits, data_bits) == \
                     select_config(addr_bits, data_bits)
 
-    def test_edge_energy_delegates_to_params(self):
-        for enabled in (True, False):
-            assert VIRTEX2_BRAM.edge_energy_pj(9, 12, enabled, VIRTEX2_PARAMS) \
-                == VIRTEX2_PARAMS.bram_edge_energy_pj(9, 12, enabled)
-
-    def test_capacitances_delegate_to_params(self):
-        assert VIRTEX2_BRAM.cascade_cap_pf(VIRTEX2_PARAMS) == \
-            VIRTEX2_PARAMS.c_bram_cascade_pf
-        assert VIRTEX2_BRAM.clock_load_pf(VIRTEX2_PARAMS) == \
-            VIRTEX2_PARAMS.c_clock_tree_per_load_pf
-
-    def test_no_static_component(self):
-        assert VIRTEX2_BRAM.static_power_mw(13) == 0.0
-
     def test_timing_model_equals_historical_defaults(self):
         assert VIRTEX2_BRAM.timing_model() == TimingModel()
 
@@ -103,7 +31,6 @@ class TestLegality:
     def test_validate_shape_accepts_legal(self):
         assert VIRTEX2_BRAM.validate_shape(512, 36) == BramConfig(512, 36)
         assert VIRTEX2_BRAM.validate_shape(256, 20) == BramConfig(512, 36)
-        assert RERAM_1T1R.validate_shape(1024, 16) == BramConfig(1024, 16)
 
     def test_validate_shape_rejects_non_power_of_two_depth(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -118,8 +45,6 @@ class TestLegality:
     def test_validate_shape_rejects_over_wide(self):
         with pytest.raises(ValueError, match="widest data port"):
             VIRTEX2_BRAM.validate_shape(512, 37)
-        with pytest.raises(ValueError, match="widest data port"):
-            RERAM_1T1R.validate_shape(512, 36)  # legal on BRAM, not here
 
     def test_validate_shape_rejects_over_deep(self):
         with pytest.raises(ValueError, match="address"):
@@ -138,12 +63,11 @@ class TestLegality:
         assert VIRTEX2_BRAM.series_for(16) == (4, 14)
         assert VIRTEX2_BRAM.series_for(17) == (8, 14)
 
-    def test_series_ceiling_differs_per_backend(self):
+    def test_series_ceiling(self):
+        assert VIRTEX2_BRAM.legal_series(1)
         assert VIRTEX2_BRAM.legal_series(8)
         assert not VIRTEX2_BRAM.legal_series(16)
-        assert RERAM_1T1R.legal_series(4)
-        assert not RERAM_1T1R.legal_series(8)
-        assert not RERAM_1T1R.legal_series(0)
+        assert not VIRTEX2_BRAM.legal_series(0)
 
     def test_widest_config(self):
         assert VIRTEX2_BRAM.widest_config(9) == BramConfig(512, 36)
@@ -151,71 +75,9 @@ class TestLegality:
         assert VIRTEX2_BRAM.widest_config(20) is None
 
 
-class TestReram:
-    def test_identity(self):
-        assert not RERAM_1T1R.volatile
-        assert RERAM_1T1R.block_bits == 16 * 1024
-        assert RERAM_1T1R.max_data_bits == 32
-
-    def test_enabled_read_scales_with_geometry(self):
-        narrow = RERAM_1T1R.edge_energy_pj(9, 1, True, VIRTEX2_PARAMS)
-        wide = RERAM_1T1R.edge_energy_pj(9, 32, True, VIRTEX2_PARAMS)
-        deep = RERAM_1T1R.edge_energy_pj(14, 1, True, VIRTEX2_PARAMS)
-        assert wide > narrow
-        assert deep > narrow
-
-    def test_disabled_edge_nearly_free(self):
-        idle = RERAM_1T1R.edge_energy_pj(9, 32, False, VIRTEX2_PARAMS)
-        active = RERAM_1T1R.edge_energy_pj(9, 32, True, VIRTEX2_PARAMS)
-        assert idle < active / 10
-        # Much cheaper than the SRAM block's disabled edge too.
-        assert idle < VIRTEX2_BRAM.edge_energy_pj(9, 32, False, VIRTEX2_PARAMS)
-
-    def test_static_power_scales_with_blocks(self):
-        assert RERAM_1T1R.static_power_mw(0) == 0.0
-        assert RERAM_1T1R.static_power_mw(4) == pytest.approx(
-            4 * RERAM_1T1R.static_mw_per_block
-        )
-
-    def test_native_energy_ignores_params(self):
-        assert RERAM_1T1R.edge_energy_pj(9, 8, True, None) == \
-            RERAM_1T1R.edge_energy_pj(9, 8, True, VIRTEX2_PARAMS)
-        assert RERAM_1T1R.cascade_cap_pf(None) == RERAM_1T1R.c_cascade_pf
-        assert RERAM_1T1R.clock_load_pf(None) == RERAM_1T1R.c_clock_load_pf
-
-    def test_timing_model_is_slower(self):
-        timing = RERAM_1T1R.timing_model()
-        baseline = VIRTEX2_BRAM.timing_model()
-        assert timing.bram_clk_to_out_ns > baseline.bram_clk_to_out_ns
-        assert timing.cascade_hop_ns > baseline.cascade_hop_ns
-
-
 class TestFingerprints:
-    def test_backends_digest_differently(self):
-        from repro.pipeline.artifact import fingerprint
-
-        assert fingerprint(VIRTEX2_BRAM) != fingerprint(RERAM_1T1R)
-
     def test_reparameterized_backend_digests_differently(self):
         from repro.pipeline.artifact import fingerprint
 
-        tweaked = Virtex2BramModel(
-            name=VIRTEX2_BRAM.name,
-            description=VIRTEX2_BRAM.description,
-            configs=VIRTEX2_BRAM.configs,
-            block_bits=VIRTEX2_BRAM.block_bits,
-            clk_to_out_ns=1.80,
-        )
+        tweaked = Virtex2BramModel(clk_to_out_ns=1.80)
         assert fingerprint(tweaked) != fingerprint(VIRTEX2_BRAM)
-
-    def test_base_model_callbacks_are_abstract(self):
-        base = MemoryBlockModel(
-            name="abstract",
-            description="no energy model",
-            configs=BRAM_CONFIGS,
-            block_bits=VIRTEX2_BRAM.block_bits,
-        )
-        with pytest.raises(NotImplementedError):
-            base.edge_energy_pj(9, 8, True, VIRTEX2_PARAMS)
-        with pytest.raises(NotImplementedError):
-            base.cascade_cap_pf(VIRTEX2_PARAMS)

@@ -139,68 +139,6 @@ class TestWorkerKillRetry:
                               max_retries=1, **SMALL)
 
 
-class TestBackendChaos:
-    """The crash-safety invariant is backend-agnostic (ISSUE 6)."""
-
-    def test_reram_tables_identical_under_cache_faults(
-        self, tmp_path, chaos_seed, record_plan
-    ):
-        baseline = payload_of(evaluate_benchmark(
-            "dk14", cache=False, backend="reram-1t1r", **SMALL))
-
-        rng = random.Random(chaos_seed)
-        plan = record_plan(FaultPlan(
-            [
-                FaultRule(
-                    point="cache.put",
-                    kind=rng.choice(["oserror", "disk_full"]),
-                    probability=round(rng.uniform(0.2, 0.6), 3),
-                ),
-                FaultRule(
-                    point="cache.get",
-                    kind=rng.choice(["truncate", "bitflip", "oserror"]),
-                    probability=round(rng.uniform(0.2, 0.6), 3),
-                ),
-            ],
-            seed=chaos_seed,
-        ))
-
-        cache = ArtifactCache(tmp_path / "cache")
-        with faults.injected(plan, export_env=False):
-            first = payload_of(evaluate_benchmark(
-                "dk14", cache=cache, backend="reram-1t1r", **SMALL))
-            second = payload_of(evaluate_benchmark(
-                "dk14", cache=cache, backend="reram-1t1r", **SMALL))
-
-        assert first == baseline
-        assert second == baseline
-
-    def test_reram_stage_fault_is_typed_not_silent(self, record_plan):
-        plan = record_plan(FaultPlan(
-            [FaultRule(point="pipeline.stage", kind="raise",
-                       match={"stage": "rom-map"})]
-        ))
-        with faults.injected(plan, export_env=False):
-            with pytest.raises(FaultInjected) as info:
-                evaluate_benchmark(
-                    "dk14", cache=False, backend="reram-1t1r", **SMALL)
-        assert info.value.point == "pipeline.stage"
-
-    def test_poisoned_cache_never_leaks_across_backends(self, tmp_path):
-        """Same benchmark, two backends, one shared cache: the reram run
-        must never be served a virtex2 artifact (fingerprint isolation)."""
-        cache = ArtifactCache(tmp_path / "cache")
-        v2 = payload_of(evaluate_benchmark("dk14", cache=cache, **SMALL))
-        rr = payload_of(evaluate_benchmark(
-            "dk14", cache=cache, backend="reram-1t1r", **SMALL))
-        assert v2 != rr
-        # Replays from the now-warm shared cache stay distinct too.
-        assert payload_of(evaluate_benchmark(
-            "dk14", cache=cache, **SMALL)) == v2
-        assert payload_of(evaluate_benchmark(
-            "dk14", cache=cache, backend="reram-1t1r", **SMALL)) == rr
-
-
 class TestServiceChaos:
     def test_connection_reset_survived_by_client_retry(self, record_plan):
         expected = evaluate_payload(

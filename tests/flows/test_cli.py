@@ -100,7 +100,6 @@ class TestCommands:
         assert main(["map", kiss_file]) == 0
         out = capsys.readouterr().out
         assert "memory config" in out
-        assert "backend       : virtex2-bram" in out
         assert "512x36" in out
 
     def test_map_writes_vhdl(self, kiss_file, tmp_path, capsys):
@@ -207,44 +206,20 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "saving @ 100 MHz" in out
-        assert "backend  : virtex2-bram" in out
+        assert "memory   : 512x36 x1" in out
 
-    def test_eval_with_reram_backend(self, capsys):
-        assert main([
-            "eval", "dk14", "--cycles", "100", "--freq", "100",
-            "--no-cache", "--backend", "reram-1t1r",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "backend  : reram-1t1r" in out
-        assert "saving @ 100 MHz" in out
-
-    def test_unknown_backend_is_one_line_exit_2(self, capsys):
-        for argv in (
-            ["eval", "dk14", "--backend", "nosuch"],
-            ["map", "dk14", "--backend", "nosuch"],
-            ["tables", "--backend", "nosuch"],
+    def test_bad_option_value_is_one_line_exit_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        for argv, needle in (
+            (["eval", "dk14", "--tuned", missing],
+             "no such frontier artifact"),
+            (["tables", "--faults", "{not json"], "bad --faults plan"),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith(
-                "romfsm: error: unknown backend 'nosuch'")
-            assert "virtex2-bram" in captured.err
+            assert captured.err.startswith("romfsm: error: ")
+            assert needle in captured.err
             assert len(captured.err.strip().splitlines()) == 1
-
-    def test_backends_lists_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "virtex2-bram" in out
-        assert "reram-1t1r" in out
-        assert "512x36" in out      # BRAM's widest ratio
-        assert "512x32" in out      # ReRAM's widest ratio
-        assert "non-volatile" in out
-
-    def test_map_with_reram_backend(self, capsys):
-        assert main(["map", "dk14", "--backend", "reram-1t1r"]) == 0
-        out = capsys.readouterr().out
-        assert "backend       : reram-1t1r" in out
-        assert "memory config" in out
 
     def test_map_accepts_benchmark_name(self, capsys):
         assert main(["map", "dk14"]) == 0

@@ -53,16 +53,13 @@ class TestPatchedTablesMatchFromScratch:
         assert result.total_words == len(fresh.contents)
         assert result.old_rom_fingerprint != result.new_rom_fingerprint
 
-    @pytest.mark.parametrize("backend", ["virtex2-bram", "reram-1t1r"])
-    def test_power_equals_full_evaluation_of_edited_machine(self, backend):
+    def test_power_equals_full_evaluation_of_edited_machine(self):
         fsm = load_benchmark(BENCH)
         edits = one_edit(fsm)
-        result, _ = eco_evaluate(
-            BENCH, edits=edits, cache=False, backend=backend, **SMALL
-        )
+        result, _ = eco_evaluate(BENCH, edits=edits, cache=False, **SMALL)
         full, _ = evaluate_benchmark_detailed(
             apply_edits(fsm, edits), cache=False,
-            with_clock_control=False, backend=backend, **SMALL
+            with_clock_control=False, **SMALL
         )
         assert result.rom_power == full.rom_power
         assert result.rom_timing == full.rom_timing

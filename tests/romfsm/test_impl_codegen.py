@@ -3,9 +3,9 @@
 :meth:`RomFsmImplementation.run` evaluates the auxiliary LUT mappings
 and the replay loop through compiled functions, and every observable
 must stay identical to :meth:`run_reference` for every mapper
-configuration, both memory fabrics, and word widths across the packing
-edge cases — with the fallback counter untouched.  A codegen failure
-must be served by the oracle and counted.
+configuration and word widths across the packing edge cases — with
+the fallback counter untouched.  A codegen failure must be served by
+the oracle and counted.
 """
 
 import pytest
@@ -23,9 +23,6 @@ from tests.romfsm.test_impl_wordparallel import (
     assert_rom_traces_equal,
 )
 from tests.synth.test_codegen import assert_traces_equal
-
-BACKENDS = ["virtex2-bram", "reram-1t1r"]
-
 
 @pytest.fixture(autouse=True)
 def fresh_codegen_state():
@@ -48,24 +45,22 @@ def run_both_codegen(fsm, stim, collect_nets=True, **mapper_kwargs):
     assert codegen.stats().fallbacks == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=lambda c: "-".join(sorted(c)) or "plain")
 @pytest.mark.parametrize("moore", [False, True])
-def test_matches_reference_across_configs_and_backends(config, moore, backend):
+def test_matches_reference_across_configs(config, moore):
     if config.get("moore_outputs") == "external" and not moore:
         pytest.skip("external output placement requires a Moore machine")
     fsm = generate_fsm(_make_spec(9, 3, 3, 0, 2, 0.5, 0.35, moore, seed=11))
     stim = random_stimulus(fsm.num_inputs, 120, seed=3)
-    run_both_codegen(fsm, stim, backend=backend, **config)
+    run_both_codegen(fsm, stim, **config)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("cycles", [0, 1, 2, 3, 17, 64, 65, 200])
-def test_matches_reference_across_word_widths(cycles, backend):
+def test_matches_reference_across_word_widths(cycles):
     fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.6, 0.4, False, seed=5))
     stim = random_stimulus(fsm.num_inputs, cycles, seed=cycles)
-    run_both_codegen(fsm, stim, clock_control=True, backend=backend)
+    run_both_codegen(fsm, stim, clock_control=True)
 
 
 def test_matches_reference_on_idle_biased_stimulus():

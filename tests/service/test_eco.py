@@ -161,7 +161,7 @@ class TestRunEcoJob:
         )
         payload = eco_payload(result)
         assert payload["changed_words"] == result.changed_words
-        assert payload["rom"]["backend"] == result.impl.backend_model.name
+        assert payload["rom"]["bram_config"] == result.impl.config.name
 
 
 class TestEcoEndpoint:

@@ -80,48 +80,17 @@ class TestParseEvaluate:
 
 
 class TestBackendField:
-    def test_default_and_explicit_virtex2_coalesce(self):
-        a = parse_job({"benchmark": "dk14"})
-        b = parse_job({"benchmark": "dk14", "backend": "virtex2-bram"})
-        assert a.key == b.key
-
-    def test_reram_gets_its_own_key(self):
-        a = parse_job({"benchmark": "dk14"})
-        b = parse_job({"benchmark": "dk14", "backend": "reram-1t1r"})
-        assert a.key != b.key
-
-    def test_map_backend_changes_key(self):
-        a = parse_job({"benchmark": "dk14"}, kind="map")
-        b = parse_job(
-            {"benchmark": "dk14", "backend": "reram-1t1r"}, kind="map")
-        assert a.key != b.key
-
-    @pytest.mark.parametrize("kind", ["evaluate", "map"])
-    def test_unknown_backend_rejected_with_valid_names(self, kind):
+    @pytest.mark.parametrize("kind", ["evaluate", "map", "eco", "tune"])
+    def test_backend_field_rejected_as_unknown(self, kind):
+        # The memory block is fixed (Virtex-II); a request that still
+        # names one fails like any other unknown field.
         with pytest.raises(JobError) as exc:
-            parse_job({"benchmark": "dk14", "backend": "nosuch"}, kind=kind)
-        assert exc.value.reason == "unknown_backend"
-        message = str(exc.value)
-        assert "virtex2-bram" in message and "reram-1t1r" in message
-
-    def test_non_string_backend_rejected(self):
-        with pytest.raises(JobError) as exc:
-            parse_job({"benchmark": "dk14", "backend": 7})
-        assert exc.value.reason == "unknown_backend"
-
-    def test_evaluate_payload_names_backend(self):
-        job = parse_job({
-            "benchmark": "dk14", "num_cycles": 120,
-            "frequencies_mhz": [100.0], "backend": "reram-1t1r",
-        })
-        payload, _ = run_job(job)
-        assert payload["rom"]["backend"] == "reram-1t1r"
-        assert payload["rom"]["bram_config"] == "512x32"
-
-    def test_map_payload_names_backend(self):
-        job = parse_job({"benchmark": "dk14"}, kind="map")
-        payload, _ = run_job(job)
-        assert payload["backend"] == "virtex2-bram"
+            parse_job(
+                {"benchmark": "dk14", "backend": "virtex2-bram"}, kind=kind
+            )
+        assert exc.value.reason == "invalid"
+        assert "unknown field" in str(exc.value)
+        assert "backend" in str(exc.value)
 
 
 class TestParseMap:

@@ -173,7 +173,7 @@ class TestClientRoundTrip:
                     raise AssertionError("expected ServiceError")
         run_async(body())
 
-    def test_backend_selected_and_unknown_backend_is_400(self, tmp_path):
+    def test_backend_field_is_typed_400(self, tmp_path):
         from repro.service.client import ServiceError
 
         async def body():
@@ -185,22 +185,22 @@ class TestClientRoundTrip:
                     None,
                     lambda: client.evaluate(
                         benchmark="dk14", frequencies_mhz=[100.0],
-                        num_cycles=120, backend="reram-1t1r",
+                        num_cycles=120,
                     ),
                 )
                 assert reply["ok"] is True
-                assert reply["result"]["rom"]["backend"] == "reram-1t1r"
+                assert reply["result"]["rom"]["bram_config"] == "512x36"
 
                 try:
                     await loop.run_in_executor(
                         None,
                         lambda: client.evaluate(
-                            benchmark="dk14", backend="nosuch"),
+                            benchmark="dk14", backend="virtex2-bram"),
                     )
                 except ServiceError as exc:
                     assert exc.status == 400
-                    assert exc.reason == "unknown_backend"
-                    assert "virtex2-bram" in exc.message
+                    assert exc.reason == "invalid"
+                    assert "backend" in exc.message
                 else:
                     raise AssertionError("expected ServiceError")
         run_async(body(), timeout=120.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.memblock import resolve_backend
+from repro.arch.memblock import VIRTEX2_BRAM
 from repro.bench.suite import load_benchmark
 from repro.fsm.kiss import parse_kiss
 from repro.tune.space import (
@@ -95,10 +95,9 @@ class TestSpace:
 
     def test_default_space_covers_backend_aspects(self):
         fsm = load_benchmark("dk14")
-        backend = resolve_backend("virtex2-bram")
-        space = default_space(fsm, backend)
+        space = default_space(fsm)
         assert space.aspects[0] is None
-        assert set(space.aspects[1:]) == {c.name for c in backend.configs}
+        assert set(space.aspects[1:]) == {c.name for c in VIRTEX2_BRAM.configs}
 
     def test_default_space_seeds_annealed_encodings(self):
         space = default_space(load_benchmark("dk14"), anneal_seeds=(0, 3))

@@ -14,9 +14,7 @@ Per benchmark, four measured phases (one process, one report):
    stored artifact; must match bit-for-bit.
 
 The headline number is ``speedup_vs_naive`` (warm tuned candidates/sec
-over naive candidates/sec); CI asserts it stays ≥ 10×.  A second tuned
-pass on the ``reram-1t1r`` backend records the non-volatile fabric's
-frontier alongside.
+over naive candidates/sec); CI asserts it stays ≥ 10×.
 
 Usage::
 
@@ -47,17 +45,15 @@ from repro.tune import (  # noqa: E402
     tune_benchmark,
 )
 from repro.tune.fitness import tune_config  # noqa: E402
-from repro.arch.memblock import resolve_backend  # noqa: E402
 from repro.bench.suite import load_benchmark  # noqa: E402
 from repro.fsm.assign import clear_strategy_cache  # noqa: E402
 from repro.fsm.markov import clear_stationary_cache  # noqa: E402
 
 
-def tuned_round(name, backend, cache_dir, jobs, cycles, seed):
+def tuned_round(name, cache_dir, jobs, cycles, seed):
     """One tuned search; returns (TuneResult, summary dict)."""
     result = tune_benchmark(
-        name, backend=backend, jobs=jobs, cache=cache_dir,
-        num_cycles=cycles, seed=seed,
+        name, jobs=jobs, cache=cache_dir, num_cycles=cycles, seed=seed,
     )
     s = result.stats
     return result, {
@@ -81,7 +77,7 @@ def tuned_round(name, backend, cache_dir, jobs, cycles, seed):
     }
 
 
-def naive_round(name, backend, cycles, seed, limit):
+def naive_round(name, cycles, seed, limit):
     """The reference the tuner is judged against: every candidate
     simulated individually — no cache, no dedupe, no pruning, no
     in-process memos.  The sample *strides* across the full grid (the
@@ -92,8 +88,7 @@ def naive_round(name, backend, cycles, seed, limit):
     the bench's wall-clock; the rate is what matters and is
     per-candidate."""
     fsm = load_benchmark(name)
-    model = resolve_backend(backend)
-    space = default_space(fsm, model)
+    space = default_space(fsm)
     candidates = [baseline_candidate()] + space.enumerate()
     if limit and limit < len(candidates):
         step = max(1, len(candidates) // limit)
@@ -107,7 +102,7 @@ def naive_round(name, backend, cycles, seed, limit):
         clear_strategy_cache()
         config = tune_config(
             (name, None), candidate.config_overrides(),
-            backend=model.name, num_cycles=cycles, seed=seed,
+            num_cycles=cycles, seed=seed,
         )
         pipeline.run(config, cache=None)
     wall = time.perf_counter() - start
@@ -140,8 +135,7 @@ def main(argv=None) -> int:
 
             codegen.reset_stats()
             _, entry["cold"] = tuned_round(
-                name, "virtex2-bram", cache_dir, args.jobs,
-                args.cycles, args.seed,
+                name, cache_dir, args.jobs, args.cycles, args.seed,
             )
             entry["cold"]["codegen"] = {
                 "compiles": codegen.stats().compiles,
@@ -150,8 +144,7 @@ def main(argv=None) -> int:
 
             codegen.reset_stats()
             result, entry["warm"] = tuned_round(
-                name, "virtex2-bram", cache_dir, args.jobs,
-                args.cycles, args.seed,
+                name, cache_dir, args.jobs, args.cycles, args.seed,
             )
             # A warm search re-simulates nothing: the compiled engine
             # should not even have been invoked.
@@ -162,8 +155,7 @@ def main(argv=None) -> int:
 
             codegen.reset_stats()
             entry["naive"] = naive_round(
-                name, "virtex2-bram", args.cycles, args.seed,
-                args.naive_limit,
+                name, args.cycles, args.seed, args.naive_limit,
             )
 
             naive_cps = entry["naive"]["candidates_per_sec"]
@@ -177,16 +169,10 @@ def main(argv=None) -> int:
             # Replayability: the stored best-power point re-evaluates
             # bit-identically from the frontier artifact's settings.
             fresh = replay_point(
-                result.best_power, name, backend="virtex2-bram",
-                cache=cache_dir, **result.settings,
+                result.best_power, name, cache=cache_dir,
+                **result.settings,
             )
             entry["replay_ok"] = fresh == result.best_power.fitness
-
-            codegen.reset_stats()
-            _, entry["reram"] = tuned_round(
-                name, "reram-1t1r", cache_dir, args.jobs,
-                args.cycles, args.seed,
-            )
             benchmarks[name] = entry
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
