@@ -23,10 +23,10 @@ upon the number of word-lines used, and number of bits in a word-line").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["BramConfig", "BlockRam", "BRAM_CONFIGS", "VIRTEX2_BRAM_BITS", "select_config"]
+__all__ = ["BramConfig", "BlockRam", "BRAM_CONFIGS", "VIRTEX2_BRAM_BITS"]
 
 # Total data bits per Virtex-II block RAM (16K data + 2K parity).
 VIRTEX2_BRAM_BITS = 18 * 1024
@@ -73,19 +73,6 @@ BRAM_CONFIGS: Tuple[BramConfig, ...] = (
     BramConfig(8192, 2),
     BramConfig(16384, 1),
 )
-
-
-def select_config(addr_bits: int, data_bits: int) -> Optional[BramConfig]:
-    """Smallest-depth single-BRAM config fitting the address/data demand.
-
-    Returns None when no single aspect ratio offers both ``addr_bits``
-    address lines and ``data_bits`` data width — the mapper then joins
-    blocks in parallel (width) or series (depth) per paper Fig. 5.
-    """
-    for config in BRAM_CONFIGS:  # widest (shallowest) first
-        if config.addr_bits >= addr_bits and config.width >= data_bits:
-            return config
-    return None
 
 
 class BlockRam:

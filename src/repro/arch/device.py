@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = ["Device", "Utilization", "VIRTEX2_DEVICES", "get_device"]
 

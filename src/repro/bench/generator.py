@@ -18,7 +18,7 @@ All randomness flows from one seed, so benchmarks are bit-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fsm.machine import FSM, Transition

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.fsm.encoding import StateEncoding, binary_encoding, gray_encoding
 from repro.fsm.machine import FSM, FsmError

@@ -20,8 +20,8 @@ and are enforced by the rewrite itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.fsm.machine import FSM, FsmError, Transition
 from repro.logic.cube import Cube

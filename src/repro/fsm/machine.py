@@ -10,7 +10,7 @@ convention SIS applies when it synthesizes the STG to logic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.logic.cube import Cube

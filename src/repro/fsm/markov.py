@@ -24,7 +24,7 @@ closing the loop between the analytic model and the measured traces.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

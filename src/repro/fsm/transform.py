@@ -16,11 +16,10 @@ toolbox (they are what SIS's ``state_minimize`` would do before mapping).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.fsm.machine import FSM, FsmError, Transition
-from repro.logic.cube import Cover, Cube
+from repro.logic.cube import Cover
 from repro.logic.minimize import complement
 
 __all__ = [

@@ -23,7 +23,7 @@ fast enough for the MCNC-scale FSMs used in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 __all__ = ["Cube", "Cover"]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.logic.network import LogicNetwork, Node, NodeKind
+from repro.logic.network import LogicNetwork, NodeKind
 from repro.logic.truthtable import TruthTable
 
 __all__ = ["MappedLut", "LutMapping", "map_network"]

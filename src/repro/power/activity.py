@@ -18,7 +18,7 @@ Every *driver* net is accounted exactly once with its true fanout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.romfsm.impl import RomFsmImplementation, RomTrace

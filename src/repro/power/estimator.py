@@ -19,7 +19,7 @@ one power column per clock rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.arch.device import Device, get_device

@@ -21,7 +21,6 @@ measured by XPower on placed silicon — only the relative shape is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.arch.interconnect import InterconnectModel

@@ -21,9 +21,8 @@ that is also the subset the paper's flow exercised.
 
 from __future__ import annotations
 
-import string
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "write_vcd",

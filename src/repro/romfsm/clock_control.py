@@ -28,7 +28,7 @@ flow as the FF baseline, giving the Table 4 area-overhead numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.fsm.encoding import StateEncoding
 from repro.fsm.machine import FSM
@@ -44,9 +44,13 @@ _ESPRESSO_VAR_LIMIT = 16
 _ESPRESSO_CUBE_LIMIT = 500
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClockControl:
-    """Synthesized enable logic for the BRAM clock-stopping technique."""
+    """Synthesized enable logic for the BRAM clock-stopping technique.
+
+    Frozen because the mapper memoises it: one instance is shared by
+    every implementation of the same machine, encoding and options.
+    """
 
     mapping: LutMapping
     encoding: StateEncoding

@@ -25,7 +25,7 @@ blockrams").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fsm.encoding import StateEncoding
 from repro.fsm.machine import FSM

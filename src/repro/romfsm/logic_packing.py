@@ -21,12 +21,12 @@ by the test-suite) with the LUT count reduced by the absorbed cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.arch.bram import BramConfig
 from repro.arch.memblock import VIRTEX2_BRAM
-from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping, MappedLut
+from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 
 __all__ = ["LogicPack", "PackedNetlist", "pack_logic_into_brams"]
 

@@ -19,25 +19,33 @@ Two engineering options orthogonal to the core algorithm:
 * ``moore_outputs`` — realize a Moore machine's output function in LUTs
   outside the memory (Fig. 3), shrinking the word to the state code.
 * ``clock_control`` — add the §6 idle-state enable logic.
+
+The two auxiliary LUT networks -- the Fig. 4 input multiplexer and the
+§6 enable logic -- are pure functions of the machine, its state codes
+and ``k``, so they are memoised by content (:func:`clear_aux_logic_cache`
+resets the memo).  Implementations share the memoised ``LutMapping`` and
+``ClockControl`` objects and must only read them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from repro.arch.bram import BramConfig
 from repro.arch.memblock import VIRTEX2_BRAM
 from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.machine import FSM, FsmError
-from repro.logic.lutmap import LutMapping, map_network, map_truth_tables
+from repro.fsm.markov import stg_fingerprint
+from repro.logic.lutmap import LutMapping, map_truth_tables
 from repro.logic.truthtable import TruthTable
-from repro.romfsm.clock_control import synthesize_clock_control
+from repro.romfsm.clock_control import ClockControl, synthesize_clock_control
 from repro.romfsm.compaction import ColumnCompaction, compact_columns
 from repro.romfsm.contents import RomLayout, generate_contents
 from repro.romfsm.impl import RomFsmImplementation
 
 __all__ = [
     "MappingError",
+    "clear_aux_logic_cache",
     "map_fsm_to_rom",
     "resolve_rom_encoding",
     "synthesize_moore_outputs",
@@ -46,6 +54,79 @@ __all__ = [
 
 class MappingError(FsmError):
     """Raised when no legal BRAM mapping exists under the given options."""
+
+
+# Content-keyed memos of the auxiliary LUT networks.  A tuner search
+# maps hundreds of candidates that differ only in options the networks
+# do not depend on (Moore mode, aspect, clock control), so each distinct
+# network is synthesized once per process.
+_MUX_CACHE: Dict[tuple, LutMapping] = {}
+_CLOCK_CONTROL_CACHE: Dict[tuple, ClockControl] = {}
+_AUX_LOGIC_CACHE_MAX = 256
+
+_T = TypeVar("_T")
+
+
+def clear_aux_logic_cache() -> None:
+    """Forget every memoised input multiplexer and clock-control network."""
+    _MUX_CACHE.clear()
+    _CLOCK_CONTROL_CACHE.clear()
+
+
+def _encoding_key(encoding: StateEncoding) -> Tuple:
+    # The style is part of the key: ClockControl embeds the encoding, so
+    # equal codes under another style must not share an entry.
+    return (encoding.style, encoding.width, tuple(encoding.codes.items()))
+
+
+def _memoised(
+    cache: Dict[tuple, _T], key: tuple, build: Callable[[], _T]
+) -> _T:
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if len(cache) >= _AUX_LOGIC_CACHE_MAX:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+    return value
+
+
+def _mux_mapping(
+    compaction: ColumnCompaction, encoding: StateEncoding, k: int
+) -> LutMapping:
+    key = (
+        tuple(compaction.state_columns.items()),
+        compaction.width,
+        compaction.num_inputs,
+        _encoding_key(encoding),
+        k,
+    )
+    return _memoised(
+        _MUX_CACHE, key, lambda: compaction.build_mux_network(encoding, k=k)
+    )
+
+
+def _clock_control(
+    fsm: FSM,
+    encoding: StateEncoding,
+    outputs_in_rom: bool,
+    k: int,
+    max_idle_cubes: int,
+) -> ClockControl:
+    key = (
+        stg_fingerprint(fsm),
+        _encoding_key(encoding),
+        outputs_in_rom,
+        k,
+        max_idle_cubes,
+    )
+    return _memoised(
+        _CLOCK_CONTROL_CACHE, key,
+        lambda: synthesize_clock_control(
+            fsm, encoding, outputs_in_rom=outputs_in_rom, k=k,
+            max_idle_cubes=max_idle_cubes,
+        ),
+    )
 
 
 def synthesize_moore_outputs(
@@ -304,7 +385,7 @@ def map_fsm_to_rom(
     contents = generate_contents(fsm, encoding, layout, compaction)
 
     mux_mapping = (
-        compaction.build_mux_network(encoding, k=k) if compaction is not None
+        _mux_mapping(compaction, encoding, k) if compaction is not None
         else None
     )
     moore_mapping = (
@@ -324,8 +405,7 @@ def map_fsm_to_rom(
         moore_output_mapping=moore_mapping,
     )
     if clock_control:
-        impl.clock_control = synthesize_clock_control(
-            fsm, encoding, outputs_in_rom=not use_external, k=k,
-            max_idle_cubes=max_idle_cubes,
+        impl.clock_control = _clock_control(
+            fsm, encoding, not use_external, k, max_idle_cubes,
         )
     return impl

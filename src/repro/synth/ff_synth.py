@@ -20,9 +20,8 @@ levels, the FF count, and a cycle-accurate simulator hook.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.arch.device import Utilization
 from repro.fsm.encoding import StateEncoding, make_encoding

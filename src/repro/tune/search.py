@@ -56,7 +56,7 @@ from repro.tune.frontier import (
     dominates,
     pareto_front,
 )
-from repro.tune.space import TuneCandidate, TuneSpace, baseline_candidate, default_space
+from repro.tune.space import TuneSpace, baseline_candidate, default_space
 
 __all__ = ["tune_benchmark", "tune_many", "replay_point", "DEFAULT_BATCH_SIZE"]
 

@@ -7,8 +7,8 @@ from repro.arch.bram import (
     VIRTEX2_BRAM_BITS,
     BlockRam,
     BramConfig,
-    select_config,
 )
+from repro.arch.memblock import VIRTEX2_BRAM
 
 
 class TestBramConfig:
@@ -46,24 +46,26 @@ class TestBramConfig:
 
 
 class TestSelectConfig:
+    """The Virtex-II record picks the single block for a demand."""
+
     def test_prefers_widest_fitting(self):
-        assert select_config(9, 20) == BramConfig(512, 36)
+        assert VIRTEX2_BRAM.select_config(9, 20) == BramConfig(512, 36)
 
     def test_respects_address_demand(self):
-        config = select_config(12, 4)
+        config = VIRTEX2_BRAM.select_config(12, 4)
         assert config is not None
         assert config.addr_bits >= 12
         assert config.width >= 4
 
     def test_none_when_no_fit(self):
         # 12 address bits and 9 data bits cannot coexist in one block.
-        assert select_config(12, 9) is None
+        assert VIRTEX2_BRAM.select_config(12, 9) is None
 
     def test_deepest_config(self):
-        assert select_config(14, 1) == BramConfig(16384, 1)
+        assert VIRTEX2_BRAM.select_config(14, 1) == BramConfig(16384, 1)
 
     def test_zero_demand(self):
-        assert select_config(0, 1) == BramConfig(512, 36)
+        assert VIRTEX2_BRAM.select_config(0, 1) == BramConfig(512, 36)
 
 
 class TestBlockRam:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.bram import BRAM_CONFIGS, BramConfig, select_config
+from repro.arch.bram import BRAM_CONFIGS, BramConfig
 from repro.arch.memblock import VIRTEX2_BRAM, Virtex2BramModel
 from repro.arch.timing import TimingModel
 
@@ -16,12 +16,6 @@ class TestVirtex2Parity:
         assert VIRTEX2_BRAM.max_data_bits == 36
         assert VIRTEX2_BRAM.max_series == 8
         assert VIRTEX2_BRAM.volatile
-
-    def test_select_config_matches_legacy_everywhere(self):
-        for addr_bits in range(0, 16):
-            for data_bits in range(1, 40):
-                assert VIRTEX2_BRAM.select_config(addr_bits, data_bits) == \
-                    select_config(addr_bits, data_bits)
 
     def test_timing_model_equals_historical_defaults(self):
         assert VIRTEX2_BRAM.timing_model() == TimingModel()

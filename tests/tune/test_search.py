@@ -99,6 +99,49 @@ class TestSearch:
         results = tune_many(["dk14"], cache=False, **SMALL)
         assert list(results) == ["dk14"]
 
+    def test_cold_search_builds_each_aux_network_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.fsm.markov import stg_fingerprint
+        from repro.romfsm import mapper
+        from repro.romfsm.compaction import ColumnCompaction
+
+        def encoding_key(encoding):
+            return (encoding.style, encoding.width,
+                    tuple(encoding.codes.items()))
+
+        mux_builds, cc_builds = Counter(), Counter()
+        build_mux = ColumnCompaction.build_mux_network
+        synthesize_cc = mapper.synthesize_clock_control
+
+        def counting_mux(compaction, encoding, k=4):
+            mux_builds[(tuple(compaction.state_columns.items()),
+                        compaction.width, compaction.num_inputs,
+                        encoding_key(encoding), k)] += 1
+            return build_mux(compaction, encoding, k=k)
+
+        def counting_cc(fsm, encoding, outputs_in_rom, k=4,
+                        max_idle_cubes=8):
+            cc_builds[(stg_fingerprint(fsm), encoding_key(encoding),
+                       outputs_in_rom, k, max_idle_cubes)] += 1
+            return synthesize_cc(fsm, encoding, outputs_in_rom, k=k,
+                                 max_idle_cubes=max_idle_cubes)
+
+        monkeypatch.setattr(ColumnCompaction, "build_mux_network",
+                            counting_mux)
+        monkeypatch.setattr(mapper, "synthesize_clock_control", counting_cc)
+        mapper.clear_aux_logic_cache()
+        try:
+            result = tune_benchmark("dk14", cache=False, **SMALL)
+        finally:
+            mapper.clear_aux_logic_cache()
+        # Phase 1 and the tune-map re-map both mapped every structure,
+        # and clock control is on in half the grid.
+        assert result.stats["structures"] > 1
+        assert mux_builds and cc_builds
+        assert max(mux_builds.values()) == 1
+        assert max(cc_builds.values()) == 1
+
 
 class TestSidecarMemos:
     def test_warm_search_runs_no_pipeline_stages(self, tmp_path):

@@ -48,6 +48,7 @@ from repro.tune.fitness import tune_config  # noqa: E402
 from repro.bench.suite import load_benchmark  # noqa: E402
 from repro.fsm.assign import clear_strategy_cache  # noqa: E402
 from repro.fsm.markov import clear_stationary_cache  # noqa: E402
+from repro.romfsm.mapper import clear_aux_logic_cache  # noqa: E402
 
 
 def tuned_round(name, cache_dir, jobs, cycles, seed):
@@ -83,10 +84,10 @@ def naive_round(name, cycles, seed, limit):
     in-process memos.  The sample *strides* across the full grid (the
     enumeration orders the encoding axis outermost, so a head-of-list
     sample would be all cheap binary-encoding candidates) and the
-    stationary/strategy memos are cleared before each candidate, the
-    per-candidate state a tunerless loop would have.  ``limit`` bounds
-    the bench's wall-clock; the rate is what matters and is
-    per-candidate."""
+    stationary, strategy and auxiliary-logic memos are cleared before
+    each candidate, the per-candidate state a tunerless loop would
+    have.  ``limit`` bounds the bench's wall-clock; the rate is what
+    matters and is per-candidate."""
     fsm = load_benchmark(name)
     space = default_space(fsm)
     candidates = [baseline_candidate()] + space.enumerate()
@@ -100,6 +101,7 @@ def naive_round(name, cycles, seed, limit):
     for candidate in sample:
         clear_stationary_cache()
         clear_strategy_cache()
+        clear_aux_logic_cache()
         config = tune_config(
             (name, None), candidate.config_overrides(),
             num_cycles=cycles, seed=seed,
