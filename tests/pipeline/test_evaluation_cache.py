@@ -33,15 +33,16 @@ def fingerprints(report):
 
 
 class TestWarmCache:
-    def test_cold_then_warm(self, cache):
+    @pytest.mark.parametrize("name", ["dk14", "ex1", "keyb", "planet", "styr"])
+    def test_cold_then_warm(self, cache, name):
         cold_result, cold = evaluate_benchmark_detailed(
-            "dk14", cache=cache, **KW
+            name, cache=cache, **KW
         )
         assert [r.stage for r in cold.records] == ALL_STAGES
         assert cold.misses == len(ALL_STAGES)
 
         warm_result, warm = evaluate_benchmark_detailed(
-            "dk14", cache=cache, **KW
+            name, cache=cache, **KW
         )
         assert warm.hits == len(ALL_STAGES)
         assert warm.misses == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.fsm.kiss import parse_kiss
 from repro.romfsm.mapper import map_fsm_to_rom
+from repro.synth import codegen
 from repro.tune import (
     TuneSpace,
     replay_point,
@@ -147,8 +148,11 @@ class TestSidecarMemos:
     def test_warm_search_runs_no_pipeline_stages(self, tmp_path):
         cache = str(tmp_path / "cache")
         cold = tune_benchmark("dk14", cache=cache, **SMALL)
+        compiles = codegen.stats().compiles
         warm = tune_benchmark("dk14", cache=cache, **SMALL)
         assert warm.canonical_json() == cold.canonical_json()
+        # Nothing is simulated, so no netlist is compiled either.
+        assert codegen.stats().compiles == compiles
         s = warm.stats
         # Every bound answered from the tune-bounds sidecar (one entry
         # per grid candidate plus the baseline), every fitness from the
