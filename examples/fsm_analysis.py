@@ -3,12 +3,11 @@
 Run:  python examples/fsm_analysis.py [benchmark]
 
 Before spending a block RAM or synthesizing clock control, a designer
-wants to know: is the machine well-formed (no absorbing traps)?  How
-much of its life will it idle (is §6 clock stopping worth it)?  Which
-state assignment minimizes register switching?  This script runs the
-library's analytic toolbox — graph structure, Markov occupancy, idle
-prediction, and annealed state assignment — and prints a report, no
-simulation required.
+wants to know: how much of its life will the machine idle (is §6 clock
+stopping worth it)?  Which state assignment minimizes register
+switching?  This script runs the library's analytic toolbox — Markov
+occupancy, idle prediction, and annealed state assignment — and prints
+a report, no simulation required.
 """
 
 import sys
@@ -20,12 +19,6 @@ from repro.fsm.assign import (
     transition_weights,
 )
 from repro.fsm.encoding import binary_encoding, gray_encoding
-from repro.fsm.graph import (
-    absorbing_components,
-    is_strongly_connected,
-    strongly_connected_components,
-    to_dot,
-)
 from repro.fsm.markov import (
     expected_idle_fraction,
     expected_state_bit_activity,
@@ -40,21 +33,10 @@ def main() -> None:
     print(f"=== {name}: {fsm.num_states} states, {fsm.num_inputs} inputs, "
           f"{fsm.num_outputs} outputs, {len(fsm.transitions)} edges ===\n")
 
-    # --- structure ------------------------------------------------------
-    components = strongly_connected_components(fsm)
-    traps = absorbing_components(fsm)
-    print(f"strongly connected : {is_strongly_connected(fsm)} "
-          f"({len(components)} SCCs, largest {len(components[0])} states)")
-    bad_traps = [t for t in traps if len(t) < fsm.num_states]
-    if bad_traps:
-        print(f"WARNING: absorbing trap(s): {bad_traps}")
-    else:
-        print("absorbing traps    : none")
-
     # --- occupancy -------------------------------------------------------
     pi = stationary_distribution(transition_matrix(fsm))
     hot = sorted(zip(fsm.states, pi), key=lambda kv: -kv[1])[:5]
-    print("\nhottest states (uniform-input stationary occupancy):")
+    print("hottest states (uniform-input stationary occupancy):")
     for state, p in hot:
         print(f"  {state:10s} {p:6.1%}")
 
@@ -75,11 +57,6 @@ def main() -> None:
         activity = expected_state_bit_activity(fsm, encoding)
         print(f"  {label:9s} cost={cost:7.2f}  "
               f"register toggles/cycle={activity:.3f}")
-
-    # --- artifact ----------------------------------------------------------
-    dot = to_dot(fsm)
-    print(f"\nGraphviz DOT: {len(dot.splitlines())} lines "
-          f"(render with `dot -Tsvg`)")
 
 
 if __name__ == "__main__":

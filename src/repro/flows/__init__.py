@@ -10,7 +10,6 @@ from repro.flows.flow import (
     implement_ff,
     implement_rom,
 )
-from repro.flows.design import DesignReport, FsmChoice, FsmDesign
 from repro.flows.eco import EcoError, EcoResult, eco_evaluate
 from repro.flows.tables import (
     last_run_manifest,
@@ -35,9 +34,6 @@ __all__ = [
     "table2",
     "table3",
     "table4",
-    "FsmDesign",
-    "FsmChoice",
-    "DesignReport",
     "EcoError",
     "EcoResult",
     "eco_evaluate",

@@ -38,13 +38,6 @@ from repro.fsm.assign import (
     encoding_switching_cost,
     transition_weights,
 )
-from repro.fsm.graph import (
-    absorbing_components,
-    is_strongly_connected,
-    strongly_connected_components,
-    to_dot,
-    to_networkx,
-)
 from repro.fsm.markov import (
     expected_idle_fraction,
     expected_output_activity,
@@ -84,11 +77,6 @@ __all__ = [
     "anneal_encoding",
     "encoding_switching_cost",
     "transition_weights",
-    "to_networkx",
-    "to_dot",
-    "strongly_connected_components",
-    "absorbing_components",
-    "is_strongly_connected",
     "transition_matrix",
     "stationary_distribution",
     "expected_idle_fraction",

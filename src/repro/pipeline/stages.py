@@ -84,8 +84,6 @@ STAGE_VERSIONS: Dict[str, str] = {
     "simulate": "3",
     "activity": "1",
     "power": "1",
-    # flows.design's candidate-evaluation stage rides the same registry.
-    "design-candidates": "1",
     # flows.eco's incremental ECO path (paper §4.2): patch the mapped ROM
     # image in place, re-simulate with the codegen replayer, re-estimate.
     "eco-patch": "1",

@@ -16,7 +16,6 @@ from repro.power.params import PowerParams, VIRTEX2_PARAMS
 from repro.power.activity import (
     FfActivity,
     RomActivity,
-    extract_decomposed_activity,
     extract_ff_activity,
     ff_activity_from_vcd,
     extract_rom_activity,
@@ -32,7 +31,6 @@ __all__ = [
     "RomActivity",
     "extract_ff_activity",
     "extract_rom_activity",
-    "extract_decomposed_activity",
     "ff_activity_from_vcd",
     "PowerReport",
     "estimate_ff_power",

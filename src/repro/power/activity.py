@@ -28,7 +28,7 @@ from repro.synth.wordsim import pack_column, word_toggles
 
 __all__ = ["NetActivity", "FfActivity", "RomActivity",
            "extract_ff_activity", "extract_rom_activity",
-           "extract_decomposed_activity", "ff_activity_from_vcd"]
+           "ff_activity_from_vcd"]
 
 
 @dataclass(frozen=True)
@@ -178,63 +178,6 @@ def ff_activity_from_vcd(impl: FfImplementation, vcd_source) -> FfActivity:
     trace.num_cycles = num_cycles
     trace.net_toggles = toggles
     return extract_ff_activity(impl, trace)
-
-
-def extract_decomposed_activity(impl, trace) -> FfActivity:
-    """Activity of a Sutter-style decomposed FF implementation.
-
-    Builds an :class:`FfActivity` over the union of both halves' nets
-    plus the handoff logic, with per-namespace toggle counts taken from
-    the decomposed trace (the inactive half contributes no switching,
-    which is the scheme's power argument).  The result plugs into
-    :func:`repro.power.estimator.estimate_ff_power` unchanged.
-    """
-    cycles = max(trace.num_cycles, 1)
-    nets: List[NetActivity] = []
-    lut_activity: Dict[str, float] = {}
-
-    def add_mapping(namespace: str, mapping) -> None:
-        fanouts = mapping.fanout_counts()
-        lut_names = {lut.name for lut in mapping.luts}
-        for name, fanout in fanouts.items():
-            if fanout <= 0:
-                continue
-            alpha = trace.net_toggles.get(f"{namespace}:{name}", 0) / cycles
-            nets.append(NetActivity(
-                name=f"{namespace}:{name}", fanout=fanout,
-                toggles_per_cycle=alpha,
-            ))
-            if name in lut_names:
-                lut_activity[f"{namespace}:{name}"] = alpha
-
-    add_mapping("a", impl.impl_a.mapping)
-    add_mapping("b", impl.impl_b.mapping)
-    add_mapping("ha", impl.handoff_a)
-    add_mapping("hb", impl.handoff_b)
-
-    io = 0.0
-    for i in range(impl.fsm.num_inputs):
-        io += max(
-            trace.net_toggles.get(f"a:in{i}", 0),
-            trace.net_toggles.get(f"b:in{i}", 0),
-        ) / cycles
-    # Output pins carry the selected half's outputs = the FSM outputs.
-    out_columns: Dict[int, int] = {}
-    for k in range(trace.num_cycles - 1):
-        diff = trace.output_stream[k] ^ trace.output_stream[k + 1]
-        for o in range(impl.fsm.num_outputs):
-            if (diff >> o) & 1:
-                out_columns[o] = out_columns.get(o, 0) + 1
-    io += sum(out_columns.values()) / cycles
-
-    return FfActivity(
-        nets=nets,
-        lut_output_activity=lut_activity,
-        num_ffs=impl.num_ffs,
-        num_luts=impl.num_luts,
-        num_cycles=trace.num_cycles,
-        io_activity=io,
-    )
 
 
 def extract_rom_activity(

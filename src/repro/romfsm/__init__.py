@@ -21,11 +21,6 @@ from repro.romfsm.contents import RomLayout, generate_contents
 from repro.romfsm.impl import RomFsmImplementation, RomTrace
 from repro.romfsm.mapper import MappingError, map_fsm_to_rom
 from repro.romfsm.clock_control import ClockControl, synthesize_clock_control
-from repro.romfsm.logic_packing import (
-    LogicPack,
-    PackedNetlist,
-    pack_logic_into_brams,
-)
 from repro.romfsm.vhdl import (
     bram_init_strings,
     bram_initp_strings,
@@ -48,7 +43,4 @@ __all__ = [
     "rom_fsm_vhdl_structural",
     "bram_init_strings",
     "bram_initp_strings",
-    "LogicPack",
-    "PackedNetlist",
-    "pack_logic_into_brams",
 ]

@@ -13,12 +13,6 @@ from repro.synth.blif import (
     parse_blif,
     write_blif,
 )
-from repro.synth.decompose import (
-    DecomposedFfImplementation,
-    DecomposedTrace,
-    decompose_fsm,
-    partition_states,
-)
 from repro.synth.ff_synth import FfImplementation, synthesize_ff
 from repro.synth.netsim import NetlistTrace, simulate_ff_netlist
 
@@ -32,8 +26,4 @@ __all__ = [
     "write_blif",
     "parse_blif",
     "ff_implementation_vhdl",
-    "DecomposedFfImplementation",
-    "DecomposedTrace",
-    "decompose_fsm",
-    "partition_states",
 ]

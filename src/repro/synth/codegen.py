@@ -54,14 +54,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 from repro.logutil import get_logger, kv
 from repro.synth.wordsim import pack_bit_column, popcount
-
-try:  # the container ships numpy; packing degrades gracefully without it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 __all__ = [
     "MEMO_MAX_ENTRIES",
@@ -350,17 +347,17 @@ def pack_bit_columns(values, width: int) -> List[int]:
     """
     if width <= 0:
         return []
-    if _np is not None and width <= 64 and len(values) >= 64:
+    if width <= 64 and len(values) >= 64:
         try:
-            arr = _np.asarray(values, dtype=_np.uint64)
+            arr = np.asarray(values, dtype=np.uint64)
         except (OverflowError, TypeError):
             pass  # samples wider than uint64 (or not ints): Python path
         else:
-            one = _np.uint64(1)
+            one = np.uint64(1)
             return [
                 int.from_bytes(
-                    _np.packbits(
-                        ((arr >> _np.uint64(b)) & one).astype(_np.uint8),
+                    np.packbits(
+                        ((arr >> np.uint64(b)) & one).astype(np.uint8),
                         bitorder="little",
                     ).tobytes(),
                     "little",

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
+import numpy as np
 
-try:  # the container ships numpy; transpose degrades gracefully without it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 
 __all__ = [
     "popcount",
@@ -73,24 +70,24 @@ def transpose_words(bit_words: Sequence[int], num_cycles: int) -> List[int]:
     one multi-bit sample per cycle.  When the samples fit a machine word
     the transpose runs through ``numpy.unpackbits`` (the sparse big-int
     walk is quadratic in trace length for dense streams); wider samples
-    and numpy-less installs fall back to iterating set bits only, so
-    sparse streams cost proportionally less.
+    fall back to iterating set bits only, so sparse streams cost
+    proportionally less.
     """
     n = len(bit_words)
-    if _np is not None and n and 0 < n <= 64 and num_cycles:
+    if 0 < n <= 64 and num_cycles:
         mask = (1 << num_cycles) - 1
         nbytes = (num_cycles + 7) // 8
-        mat = _np.empty((n, nbytes), dtype=_np.uint8)
+        mat = np.empty((n, nbytes), dtype=np.uint8)
         for i, word in enumerate(bit_words):
-            mat[i] = _np.frombuffer(
-                (word & mask).to_bytes(nbytes, "little"), dtype=_np.uint8
+            mat[i] = np.frombuffer(
+                (word & mask).to_bytes(nbytes, "little"), dtype=np.uint8
             )
-        bits = _np.unpackbits(
+        bits = np.unpackbits(
             mat, axis=1, bitorder="little", count=num_cycles
         )
-        rows = _np.zeros(num_cycles, dtype=_np.uint64)
+        rows = np.zeros(num_cycles, dtype=np.uint64)
         for i in range(n):
-            rows |= bits[i].astype(_np.uint64) << _np.uint64(i)
+            rows |= bits[i].astype(np.uint64) << np.uint64(i)
         return [int(x) for x in rows]
     rows = [0] * num_cycles
     for i, word in enumerate(bit_words):
