@@ -2,8 +2,8 @@
 
 Paper claims reproduced as assertions:
 * the EMB implementation consumes less power on **every** benchmark;
-* savings fall in the 4-26% band (we allow a slightly wider envelope,
-  recorded per-benchmark in EXPERIMENTS.md);
+* savings fall in the 4-26% band (we measure 3.4-29.3%, mean 16.2%;
+  the envelope below is pinned to those numbers, see EXPERIMENTS.md E2);
 * power is linear in clock frequency for both implementations;
 * FF power grows with FSM complexity, EMB power with the exercised
   address/data geometry.
@@ -28,13 +28,18 @@ def test_table2_regeneration(benchmark, paper_results):
         saving = row[7]
         savings.append(saving)
         assert saving > 0, f"{name}: EMB must save power (paper claim)"
-        assert saving < 40, f"{name}: saving outside plausible envelope"
+        assert 3 <= saving <= 30, (
+            f"{name}: saving {saving:.2f}% outside the measured 3.4-29.3% "
+            f"envelope (EXPERIMENTS.md E2)"
+        )
         # Frequency linearity (both implementations).
         assert ff[2] / ff[0] == round(ff[2] / ff[0], 6)
         assert abs(ff[2] / ff[0] - 2.0) < 1e-6
         assert abs(emb[2] / emb[0] - 2.0) < 1e-6
     mean = sum(savings) / len(savings)
-    assert 5 < mean < 30, f"mean saving {mean:.1f}% off the paper band"
+    assert 13 < mean < 20, (
+        f"mean saving {mean:.1f}% off the measured 16.2% (EXPERIMENTS.md E2)"
+    )
 
 
 def test_savings_correlate_with_ff_complexity(paper_results):

@@ -2,8 +2,8 @@
 
 Paper claim: the enable logic costs a handful of LUTs/slices per
 benchmark (their table ranges over roughly 2-15 LUTs; our synthesized
-detectors land in the same tens-of-LUTs order under the idle-cube
-budget, recorded in EXPERIMENTS.md).
+detectors measure 13-36 LUTs under the idle-cube budget, and the
+envelope below is pinned to that, see EXPERIMENTS.md E4).
 """
 
 from repro.flows.tables import table4
@@ -19,7 +19,10 @@ def test_table4_regeneration(benchmark, paper_results):
 
     for row in table.rows:
         name, luts, slices = row
-        assert 1 <= luts <= 60, f"{name}: overhead out of band"
+        assert 10 <= luts <= 40, (
+            f"{name}: {luts} LUTs outside the measured 13-36 envelope "
+            f"(EXPERIMENTS.md E4)"
+        )
         assert slices == -(-luts // 2)
 
 

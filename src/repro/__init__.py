@@ -60,7 +60,6 @@ from repro.tune import (
     load_frontier,
     replay_point,
     tune_benchmark,
-    tune_many,
 )
 
 __version__ = "1.0.0"
@@ -100,6 +99,5 @@ __all__ = [
     "load_frontier",
     "replay_point",
     "tune_benchmark",
-    "tune_many",
     "__version__",
 ]

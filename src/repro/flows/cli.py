@@ -327,14 +327,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     _install_faults(args)
     from repro.tune import tune_benchmark
 
-    # A suite benchmark is passed by name so the tuner's parse artifact
-    # is the same one `romfsm eval`/`tables` cache (mirrors `eco`).
-    target = (
-        args.file if args.file in PAPER_BENCHMARKS else _load_fsm_arg(args.file)
-    )
     try:
         result = tune_benchmark(
-            target,
+            _load_fsm_arg(args.file),
             jobs=args.jobs,
             cache=_cache_spec(args),
             num_cycles=args.cycles,

@@ -77,6 +77,8 @@ STAGE_VERSIONS: Dict[str, str] = {
     "parse": "1",
     "complete-encode": "1",
     "ff-synth": "1",
+    # rom-map also keys the tuner's sidecar entries (repro.tune.search),
+    # so one bump invalidates mappings in both flows.
     "rom-map": "1",
     "rom-cc": "1",
     # 3: RomTrace lost its per-cycle address/enable streams, which only
@@ -90,14 +92,6 @@ STAGE_VERSIONS: Dict[str, str] = {
     # 2: the embedded RomTrace lost its address/enable streams.
     "eco-simulate": "2",
     "eco-power": "1",
-    # repro.tune's candidate-evaluation pipeline: map one fingerprinted
-    # tuner candidate, then score it (power × area × timing) on the
-    # shared stimulus.  Fitness memoisation *is* the tune-fitness cache
-    # entry — its key commits to the tune-map artifact fingerprint, so
-    # candidates that collapse onto the same implementation share one
-    # evaluation.
-    "tune-map": "1",
-    "tune-fitness": "1",
 }
 
 # prep4 is the paper's explicit Fig. 3 case: "the outputs of prep4 were

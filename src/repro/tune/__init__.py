@@ -3,27 +3,28 @@
 The paper maps every machine with one fixed heuristic — binary
 encoding, widest-first aspect selection, the Fig. 4 compaction policy.
 This package searches the mapper's free knobs for the Pareto-optimal
-configurations under the paper's own power/area/timing models, as a
-*performance subsystem*: candidates are canonical fingerprinted
-configurations, evaluation reuses shared artifacts through the
-content-addressed cache, batches dispatch onto the crash-tolerant
-process-pool driver, fitness is memoised by candidate fingerprint, and
-Pareto-dominated regions are pruned by an exact lower bound — so
-wall-clock scales with the frontier, not the grid.
+configurations under the paper's own power/area/timing models.
+Candidates are canonical fingerprinted configurations; each one is
+mapped once to dedupe and bound it, and only the survivors are mapped
+again and scored, in batches on the crash-tolerant process-pool
+driver.  Pareto-dominated structures are pruned by an exact lower
+bound, and each candidate's bounds and fitness are memoised as two
+small sidecar entries in the artifact cache — so wall-clock scales
+with the frontier, not the grid, and a warm search maps nothing.
 
-Entry points: :func:`tune_benchmark` / :func:`tune_many` (library),
-``romfsm tune`` (CLI), ``POST /v1/tune`` (service).  The result is a
-replayable frontier artifact: any stored point re-evaluates to
-bit-identical objectives (:func:`replay_point`).
+Entry points: :func:`tune_benchmark` (library), ``romfsm tune`` (CLI),
+``POST /v1/tune`` (service).  The result is a replayable frontier
+artifact: any stored point re-maps and re-scores to bit-identical
+objectives (:func:`replay_point`).
 """
 
 from repro.tune.fitness import (
     BLOCK_LUT_EQUIV,
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
+    ImplBounds,
     area_cost,
-    build_tune_pipeline,
-    power_lower_bound,
+    score,
 )
 from repro.tune.frontier import (
     OBJECTIVES,
@@ -34,10 +35,9 @@ from repro.tune.frontier import (
     pareto_front,
 )
 from repro.tune.search import (
-    DEFAULT_BATCH_SIZE,
+    BATCH_SIZE,
     replay_point,
     tune_benchmark,
-    tune_many,
 )
 from repro.tune.space import (
     TuneCandidate,
@@ -47,24 +47,23 @@ from repro.tune.space import (
 )
 
 __all__ = [
+    "BATCH_SIZE",
     "BLOCK_LUT_EQUIV",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_TUNE_CYCLES",
     "DEFAULT_TUNE_FREQUENCY_MHZ",
     "OBJECTIVES",
     "FrontierPoint",
+    "ImplBounds",
     "TuneCandidate",
     "TuneResult",
     "TuneSpace",
     "area_cost",
     "baseline_candidate",
-    "build_tune_pipeline",
     "default_space",
     "dominates",
     "load_frontier",
     "pareto_front",
-    "power_lower_bound",
     "replay_point",
+    "score",
     "tune_benchmark",
-    "tune_many",
 ]

@@ -1,17 +1,10 @@
-"""Candidate fitness: the tuner's three-stage evaluation pipeline.
+"""Candidate fitness: score one mapped candidate, bound the rest.
 
-``parse`` → ``tune-map`` → ``tune-fitness``, all registered in
-:data:`repro.pipeline.stages.STAGE_VERSIONS` and served by the same
-content-addressed artifact cache as the Fig. 6 flow.  The ``parse``
-stage is literally the evaluation flow's — one benchmark's FSM artifact
-is shared between ``romfsm eval`` runs and every tuner candidate.
-
-Fitness memoisation *is* the ``tune-fitness`` cache entry: its cache
-key commits to the ``tune-map`` artifact fingerprint, so two candidates
-that collapse onto the same implementation (e.g. ``aspect=None`` and
-pinning the aspect the heuristic would have chosen anyway) share one
-simulation.  The fitness value itself is a JSON-safe dict so frontier
-artifacts round-trip bit-exactly through ``json``.
+:func:`score` simulates a mapped candidate on the search's shared
+stimulus and returns its objectives as a JSON-safe dict, so frontier
+artifacts round-trip bit-exactly through ``json``.  The search caches
+that dict in its ``tune-point`` sidecar (:mod:`repro.tune.search`); this
+module keeps no cache of its own.
 
 Objectives (all to be minimised):
 
@@ -21,9 +14,9 @@ Objectives (all to be minimised):
 * ``area``     — LUT-equivalent cost, ``brams × BLOCK_LUT_EQUIV + luts``;
 * ``delay_ns`` — critical path from the block's timing model.
 
-:func:`power_lower_bound` computes the provable floor the search uses
-to prune: the clock tree term is an exact function of the block count,
-the block read term is bounded below by the cheaper of the
+:meth:`ImplBounds.power_floor` computes the provable floor the search
+uses to prune: the clock tree term is an exact function of the block
+count, the block read term is bounded below by the cheaper of the
 active/idle edge energies (enable duty is in [0, 1]), and the
 interconnect/logic/IO buckets are nonnegative.  No simulated power can
 come in under this floor, so discarding a candidate whose floor is
@@ -34,20 +27,16 @@ dominated never changes the frontier (proof sketch in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.arch.device import get_device
 from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
+from repro.fsm.machine import FSM
 from repro.fsm.simulate import FsmSimulator, random_stimulus
-from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.stage import StageContext
-from repro.pipeline.stages import make_stage, _stage_parse
 from repro.power.activity import extract_rom_activity
 from repro.power.estimator import estimate_rom_power
 from repro.power.params import PowerParams, VIRTEX2_PARAMS
 from repro.romfsm.impl import RomFsmImplementation
-from repro.romfsm.mapper import map_fsm_to_rom
 
 __all__ = [
     "BLOCK_LUT_EQUIV",
@@ -55,10 +44,7 @@ __all__ = [
     "DEFAULT_TUNE_FREQUENCY_MHZ",
     "ImplBounds",
     "area_cost",
-    "build_tune_pipeline",
-    "candidate_timing",
-    "power_lower_bound",
-    "tune_config",
+    "score",
 ]
 
 # One embedded block costs this many LUT-equivalents in the area
@@ -80,11 +66,11 @@ def area_cost(impl: RomFsmImplementation) -> int:
 class ImplBounds:
     """The slice of a mapped candidate the search's bounds need.
 
-    A handful of integers — everything :func:`power_lower_bound`, the
-    area objective, and the timing model consume.  Small enough to park
-    in the artifact cache next to the heavyweight ``tune-map`` entry,
-    so a warm search reconstructs its Phase-1 bounds without mapping
-    (or even loading) a single implementation.
+    A handful of integers — everything the power floor, the area
+    objective, and the timing model consume.  Small enough to park in
+    the artifact cache as the search's ``tune-bounds`` sidecar, so a
+    warm search reconstructs its Phase-1 bounds without mapping a
+    single implementation.
     """
 
     impl_fingerprint: str
@@ -132,7 +118,23 @@ class ImplBounds:
         duty_floor: float = 0.0,
         extra_mw: float = 0.0,
     ) -> float:
-        """See :func:`power_lower_bound` (this is its implementation)."""
+        """A provable floor (mW) under any simulated power of the
+        implementation.
+
+        Exact term: clock tree (trunk + per-block leaf load, two edges
+        per cycle) — a function of the block count alone.  Bounded term:
+        block read energy at the cheapest enable duty in
+        ``[duty_floor, 1]``.  Without clock control the duty is exactly
+        1; with it a stopped cycle must be a state hold (the registers
+        keep their values), so the duty can never drop under one minus
+        the reference trajectory's self-loop fraction — the search
+        passes that as ``duty_floor`` (with a small boundary margin).
+        The interconnect and logic buckets are sums of nonnegative
+        energies, bounded below by zero; ``extra_mw`` adds any component
+        the caller knows exactly (the IO term — pad toggles are a
+        property of the verified-equivalent behaviour, not of the
+        candidate).
+        """
         per_edge = params.bram_edge_energy_pj(
             self.lane_addr_bits, self.lane_data_bits, True
         )
@@ -182,81 +184,22 @@ class ImplBounds:
         )
 
 
-def candidate_timing(
-    impl: RomFsmImplementation, params: PowerParams = VIRTEX2_PARAMS
-) -> TimingReport:
-    """Critical path of a mapped candidate."""
-    return ImplBounds.of(impl, "").timing(params)
-
-
-def power_lower_bound(
-    impl: RomFsmImplementation,
-    frequency_mhz: float = DEFAULT_TUNE_FREQUENCY_MHZ,
-    params: PowerParams = VIRTEX2_PARAMS,
-    duty_floor: float = 0.0,
-    extra_mw: float = 0.0,
-) -> float:
-    """A provable floor (mW) under any simulated power of ``impl``.
-
-    Exact term: clock tree (trunk + per-block leaf load, two edges per
-    cycle) — a function of the block count alone.  Bounded term: block
-    read energy at the cheapest enable duty in ``[duty_floor, 1]``.
-    Without clock control the duty is exactly 1; with it a stopped cycle
-    must be a state hold (the registers keep their values), so the duty
-    can never drop under one minus the reference trajectory's self-loop
-    fraction — the search passes that as ``duty_floor`` (with a small
-    boundary margin).  The interconnect and logic buckets are sums of
-    nonnegative energies, bounded below by zero; ``extra_mw`` adds any
-    component the caller knows exactly (the IO term — pad toggles are a
-    property of the verified-equivalent behaviour, not of the
-    candidate).
-    """
-    return ImplBounds.of(impl, "").power_floor(
-        frequency_mhz=frequency_mhz,
-        params=params,
-        duty_floor=duty_floor,
-        extra_mw=extra_mw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
-
-
-def _stage_tune_map(ctx: StageContext) -> RomFsmImplementation:
-    """Map one fingerprinted tuner candidate (clock control included —
-    unlike the eval flow's rom-map/rom-cc split, clock control is a
-    candidate knob here, part of this stage's cache key)."""
-    fsm = ctx.value("parse")
-    return map_fsm_to_rom(
-        fsm,
-        clock_control=bool(ctx.cfg("clock_control", False)),
-        moore_outputs=ctx.cfg("moore_outputs") or "auto",
-        encoding=ctx.cfg("rom_encoding"),
-        force_compaction=bool(ctx.cfg("force_compaction", False)),
-        aspect=ctx.cfg("aspect"),
-        k=ctx.cfg("lut_k", 4),
-    )
-
-
-def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
+def score(
+    fsm: FSM, impl: RomFsmImplementation, settings: Dict[str, Any]
+) -> Dict[str, Any]:
     """Score one mapped candidate on the shared stimulus.
 
-    Returns a JSON-safe dict — the frontier artifact embeds it verbatim
-    and replay compares float-exactly after a json round-trip.
+    ``settings`` holds a search's ``num_cycles``, ``seed``,
+    ``frequency_mhz`` and ``verify``.  Returns a JSON-safe dict — the
+    frontier artifact embeds it verbatim and replay compares
+    float-exactly after a json round-trip.
     """
-    fsm = ctx.value("parse")
-    impl: RomFsmImplementation = ctx.value("tune-map")
-    num_cycles = ctx.cfg("num_cycles", DEFAULT_TUNE_CYCLES)
-    seed = ctx.cfg("seed", 2004)
-    frequency = float(ctx.cfg("frequency", DEFAULT_TUNE_FREQUENCY_MHZ))
-    params = ctx.cfg("params") or VIRTEX2_PARAMS
-    device = ctx.cfg("device") or get_device()
-
-    stimulus = random_stimulus(fsm.num_inputs, num_cycles, seed=seed)
+    frequency = float(settings["frequency_mhz"])
+    stimulus = random_stimulus(
+        fsm.num_inputs, int(settings["num_cycles"]), seed=int(settings["seed"])
+    )
     trace = impl.run(stimulus)
-    if ctx.cfg("verify", True):
+    if settings["verify"]:
         reference = FsmSimulator(fsm).run(stimulus)
         if trace.output_stream != reference.outputs:
             raise AssertionError(
@@ -265,8 +208,8 @@ def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
             )
 
     activity = extract_rom_activity(impl, trace)
-    power = estimate_rom_power(impl, activity, frequency, device, params)
-    timing = candidate_timing(impl, params)
+    power = estimate_rom_power(impl, activity, frequency)
+    timing = ImplBounds.of(impl, "").timing()
     return {
         "power_mw": power.total_mw,
         "components_mw": dict(sorted(power.components_mw.items())),
@@ -278,53 +221,3 @@ def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
         "enable_duty": activity.enable_duty,
         "frequency_mhz": frequency,
     }
-
-
-def build_tune_pipeline() -> Pipeline:
-    """parse → tune-map → tune-fitness, all cache-served."""
-    return Pipeline([
-        make_stage("parse", _stage_parse, (),
-                   ("benchmark", "kiss", "name", "states", "reset")),
-        make_stage("tune-map", _stage_tune_map, ("parse",),
-                   ("moore_outputs", "rom_encoding",
-                    "force_compaction", "aspect", "lut_k", "clock_control")),
-        make_stage("tune-fitness", _stage_tune_fitness,
-                   ("parse", "tune-map"),
-                   ("num_cycles", "seed", "frequency", "device", "params",
-                    "verify")),
-    ])
-
-
-def tune_config(
-    name_or_kiss: Tuple[str, Optional[str]],
-    candidate_overrides: Dict[str, Any],
-    num_cycles: int = DEFAULT_TUNE_CYCLES,
-    seed: int = 2004,
-    frequency: float = DEFAULT_TUNE_FREQUENCY_MHZ,
-    verify: bool = True,
-    params: Optional[PowerParams] = None,
-    device=None,
-) -> Dict[str, Any]:
-    """Assemble the pipeline config for one candidate evaluation.
-
-    ``name_or_kiss`` is ``(benchmark_name, None)`` for a suite machine
-    or ``(fsm_name, kiss_text)`` for an ad-hoc one — mirroring
-    ``evaluation_config``'s cache-key conventions so the parse artifact
-    is shared with the eval flow.
-    """
-    name, kiss = name_or_kiss
-    config: Dict[str, Any] = {
-        "num_cycles": int(num_cycles),
-        "seed": int(seed),
-        "frequency": float(frequency),
-        "verify": bool(verify),
-        "params": params,
-        "device": device,
-    }
-    if kiss is None:
-        config["benchmark"] = name
-    else:
-        config["kiss"] = kiss
-        config["name"] = name
-    config.update(candidate_overrides)
-    return config

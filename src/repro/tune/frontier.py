@@ -4,8 +4,8 @@ The frontier is the tuner's deliverable: the set of evaluated
 candidates no other evaluated candidate beats on every objective
 (power, area, delay — all minimised).  Each point carries its full
 candidate configuration and fitness dict, so any point can be replayed
-bit-identically: re-run the fitness pipeline with the stored candidate
-and the artifact's evaluation settings and the objectives match
+bit-identically: re-map and re-score the stored candidate under the
+artifact's evaluation settings and the objectives match
 float-for-float (floats survive a ``json`` round-trip exactly).
 
 Determinism contract: :meth:`TuneResult.canonical_json` contains no
@@ -53,7 +53,7 @@ class FrontierPoint:
     candidate: TuneCandidate
     fitness: Dict[str, Any]
     # How many grid candidates collapsed onto this implementation
-    # (tune-map artifact dedupe); the stored candidate is the
+    # (implementation-fingerprint dedupe); the stored candidate is the
     # enumeration-first representative.
     group_size: int = 1
     impl_fingerprint: str = ""

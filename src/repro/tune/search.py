@@ -3,42 +3,45 @@
 Wall-clock scales with the *frontier*, not the grid, through three
 mechanisms applied in order:
 
-1. **Structural dedupe.** Every candidate is mapped (cheaply, in the
-   driver, reusing one parsed FSM) and grouped by the tune-map artifact
+1. **Structural dedupe.** Every candidate is mapped once, in the
+   driver, reusing one parsed FSM, and grouped by the implementation's
    fingerprint: candidates that collapse onto the same implementation —
    pinning the aspect the heuristic would pick anyway, forcing a
    compaction the policy already took — share one evaluation.  The
    enumeration-first candidate represents the group.
 2. **Exact bound pruning.** Area and delay of a mapped candidate are
-   static; power has a provable floor (:func:`power_lower_bound`).
-   Structures whose (floor, area, delay) vector is dominated by an
+   static; power has a provable floor
+   (:meth:`~repro.tune.fitness.ImplBounds.power_floor`).  Structures
+   whose (floor, area, delay) vector is dominated by an
    already-evaluated point can never reach the frontier and are
    discarded unevaluated.  Structures are visited in ascending
    (floor, fingerprint) order so cheap likely-winners evaluate first
    and the archive prunes aggressively.
-3. **Fitness memoisation.** Each evaluation runs the cached fitness
-   pipeline (:mod:`repro.tune.fitness`); repeated searches — replays,
-   widened grids, the second half of an A/B bench — hit the
-   ``tune-fitness`` cache entry instead of simulating.
+3. **Sidecar memoisation.** Each candidate's bounds and fitness are
+   parked in the artifact cache as two small entries, so a repeated
+   search — a replay, a widened grid, a warm benchmark round — maps
+   and simulates nothing.
 
 Evaluation batches dispatch onto :func:`repro.pipeline.driver.
-run_sharded` (forkserver start method, worker-crash retry), with a
-fixed batch size so the evaluated set — not just the frontier — is
-identical at any ``jobs`` count.  Pruning is *exact* (never changes the
-frontier versus brute force): see ``docs/architecture.md`` §15 for the
-dominance argument.
+run_sharded` (forkserver start method, worker-crash retry); each
+worker maps its candidate and scores it
+(:func:`repro.tune.fitness.score`).  The batch size is fixed so the
+evaluated set — not just the frontier — is identical at any ``jobs``
+count.  Pruning is *exact* (never changes the frontier versus brute
+force): see ``docs/architecture.md`` §15 for the dominance argument.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM, FsmError
-from repro.fsm.markov import clear_stationary_cache  # noqa: F401 (re-export)
+from repro.fsm.simulate import FsmSimulator, random_stimulus
 from repro.logutil import get_logger, kv
-from repro.pipeline.artifact import Artifact, fingerprint
+from repro.pipeline.artifact import fingerprint
 from repro.pipeline.cache import ArtifactCache, resolve_cache
 from repro.pipeline.driver import run_sharded
 from repro.pipeline.stages import STAGE_VERSIONS
@@ -47,8 +50,7 @@ from repro.tune.fitness import (
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
     ImplBounds,
-    build_tune_pipeline,
-    tune_config,
+    score,
 )
 from repro.tune.frontier import (
     FrontierPoint,
@@ -56,46 +58,62 @@ from repro.tune.frontier import (
     dominates,
     pareto_front,
 )
-from repro.tune.space import TuneSpace, baseline_candidate, default_space
+from repro.tune.space import (
+    TuneCandidate,
+    TuneSpace,
+    baseline_candidate,
+    default_space,
+)
 
-__all__ = ["tune_benchmark", "tune_many", "replay_point", "DEFAULT_BATCH_SIZE"]
+__all__ = ["tune_benchmark", "replay_point", "BATCH_SIZE"]
 
 logger = get_logger("tune.search")
 
 # Structures per run_sharded dispatch.  Fixed (not jobs-derived) so the
 # evaluated/pruned split is identical at any process count — part of
 # the determinism contract, not just a scheduling knob.
-DEFAULT_BATCH_SIZE = 8
+BATCH_SIZE = 8
+# Retry rounds after a worker crash, and the pool's start method
+# (forkserver: workers never inherit a dirty heap).
+_MAX_RETRIES = 2
+_MP_CONTEXT = "forkserver"
 
-# The search parks two small sidecar entries in the artifact cache next
-# to each candidate's heavyweight tune-map/tune-fitness entries, both
-# addressed off the candidate's tune-map cache key (computed in-driver
-# from the parsed FSM's fingerprint — no pipeline run needed):
+# The search's only cache: two small sidecar entries per candidate,
+# both keyed by the candidate, the machine's fingerprint and the
+# rom-map stage version (a mapper change bumps that one version for
+# the eval flow and the tuner alike):
 #
 # * ``tune-bounds`` — the :class:`ImplBounds` integers (or an
 #   infeasibility marker), so a warm search rebuilds its Phase-1 bound
 #   vectors without mapping a single candidate;
-# * ``tune-point``  — the (impl fingerprint, fitness dict) pair, keyed
-#   additionally by the tune-fitness stage version and the evaluation
-#   settings, so a warm search's batches skip ``run_sharded`` outright
-#   instead of paying pool dispatch + unpickle for each cache hit.
+# * ``tune-point``  — the fitness dict, keyed additionally by the
+#   evaluation settings, so a warm search's batches skip
+#   ``run_sharded`` outright.
 #
-# Bump on any change to what the entries contain.
-_BOUNDS_SIDECAR_VERSION = "1"
-_POINT_SIDECAR_VERSION = "1"
+# Bump a kind's version on any change to what its entries contain or
+# how a candidate is scored.
+_SIDECAR_VERSIONS = {"tune-bounds": "2", "tune-point": "2"}
 
 
-def _bounds_key(map_key: str) -> str:
-    return fingerprint(("tune-bounds", _BOUNDS_SIDECAR_VERSION, map_key))
+def _sidecar_key(kind: str, fsm_fp: str, candidate: TuneCandidate,
+                 *extra: Any) -> str:
+    # Canonical JSON, hashed once: the fingerprint walker hashes every
+    # field of a dict separately, which a warm search would pay per
+    # candidate.
+    parts = [kind, _SIDECAR_VERSIONS[kind], STAGE_VERSIONS["rom-map"],
+             fsm_fp, candidate.as_dict(), *extra]
+    encoded = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def _point_key(map_key: str, settings: Dict[str, Any]) -> str:
-    return fingerprint((
-        "tune-point", _POINT_SIDECAR_VERSION, map_key,
-        STAGE_VERSIONS["tune-fitness"],
-        (settings["num_cycles"], settings["seed"],
-         settings["frequency_mhz"], settings["verify"]),
-    ))
+def _cache_get(cache: Optional[ArtifactCache], key: str) -> Optional[Any]:
+    loaded = cache.get(key) if cache is not None else None
+    return None if loaded is None else loaded[1]
+
+
+def _cache_put(cache: Optional[ArtifactCache], key: str, value: Any) -> None:
+    if cache is not None:
+        cache.put(key, fingerprint(value), value)
 
 
 class _Structure:
@@ -103,18 +121,17 @@ class _Structure:
 
     __slots__ = (
         "candidate", "impl_fingerprint", "group_size",
-        "lb_power", "area", "delay_ns", "map_key",
+        "lb_power", "area", "delay_ns",
     )
 
     def __init__(self, candidate, impl_fingerprint, group_size,
-                 lb_power, area, delay_ns, map_key):
+                 lb_power, area, delay_ns):
         self.candidate = candidate
         self.impl_fingerprint = impl_fingerprint
         self.group_size = group_size
         self.lb_power = lb_power
         self.area = area
         self.delay_ns = delay_ns
-        self.map_key = map_key
 
     @property
     def bound(self) -> Tuple[float, float, float]:
@@ -134,34 +151,21 @@ def _bound_pruned(structure: _Structure, archive: List[Tuple[float, ...]]) -> bo
     return any(dominates(point, structure.bound) for point in archive)
 
 
-def _resolve_target(name_or_fsm: Union[str, FSM]) -> Tuple[Tuple[str, Optional[str]], FSM, str]:
-    """(cache-key form, parsed FSM, display name) for the target."""
+def _resolve_target(name_or_fsm: Union[str, FSM]) -> Tuple[FSM, str]:
+    """(parsed FSM, display name) for the target."""
     if isinstance(name_or_fsm, str):
         from repro.bench.suite import load_benchmark
 
-        fsm = load_benchmark(name_or_fsm)
-        return (name_or_fsm, None), fsm, name_or_fsm
-    return (name_or_fsm.name, format_kiss(name_or_fsm)), name_or_fsm, name_or_fsm.name
+        return load_benchmark(name_or_fsm), name_or_fsm
+    return name_or_fsm, name_or_fsm.name
 
 
-def _eval_shard(item) -> Tuple[str, Dict[str, Any], int, int]:
-    """Pool worker: evaluate one structure through the cached pipeline.
-
-    Returns (impl fingerprint, fitness dict, tune-fitness cache hits,
-    total stage cache hits).  Must stay module-level picklable.
-    """
-    config, cache_path = item
-    outcome = build_tune_pipeline().run(config, cache=resolve_cache(cache_path))
-    fitness = outcome.value("tune-fitness")
-    fitness_hits = sum(
-        1 for r in outcome.report.records
-        if r.stage == "tune-fitness" and r.cache_hit
-    )
-    total_hits = sum(1 for r in outcome.report.records if r.cache_hit)
-    impl_fp = next(
-        r.fingerprint for r in outcome.report.records if r.stage == "tune-map"
-    )
-    return impl_fp, fitness, fitness_hits, total_hits
+def _evaluate(item: Tuple[FSM, TuneCandidate, Dict[str, Any]]) -> Dict[str, Any]:
+    """Pool worker: map one candidate and score it.  Module-level so it
+    pickles."""
+    fsm, candidate, settings = item
+    impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs())
+    return score(fsm, impl, settings)
 
 
 def tune_benchmark(
@@ -174,9 +178,6 @@ def tune_benchmark(
     frequency_mhz: float = DEFAULT_TUNE_FREQUENCY_MHZ,
     verify: bool = True,
     prune: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_retries: int = 2,
-    mp_context: Optional[str] = "forkserver",
 ) -> TuneResult:
     """Search the mapper-configuration space of one benchmark.
 
@@ -190,7 +191,7 @@ def tune_benchmark(
     against).
     """
     start = time.perf_counter()
-    key_form, fsm, display = _resolve_target(name_or_fsm)
+    fsm, display = _resolve_target(name_or_fsm)
     if space is None:
         space = default_space(fsm)
     candidates = space.enumerate()
@@ -203,15 +204,12 @@ def tune_benchmark(
     }
 
     resolved_cache = resolve_cache(cache)
-    cache_path = str(resolved_cache.root) if resolved_cache is not None else False
 
     # Duty floor for clock-controlled candidates: a stopped cycle must
     # be a state hold, so the enable duty can never drop under one
     # minus the reference trajectory's self-loop fraction (small margin
     # for trace-boundary conventions).  One reference simulation of the
     # shared stimulus, shared by every candidate's bound.
-    from repro.fsm.simulate import FsmSimulator, random_stimulus
-
     stimulus = random_stimulus(fsm.num_inputs, int(num_cycles), seed=int(seed))
     ref_states = FsmSimulator(fsm).run(stimulus).states
     self_loops = sum(1 for a, b in zip(ref_states, ref_states[1:]) if a == b)
@@ -220,48 +218,31 @@ def tune_benchmark(
     )
 
     # ---- Phase 1: static mapping, dedupe, exact bounds (in-driver) ----
-    # The driver computes each candidate's tune-map cache key itself
-    # (same parse fingerprint + config slice the pipeline would hash),
-    # which addresses the two sidecar entries: with a warm cache this
-    # whole phase is key hashes and small reads — zero mappings.
-    map_stage = build_tune_pipeline().stage("tune-map")
-    parse_fp = fingerprint(fsm)
+    # With a warm cache this whole phase is key hashes and small
+    # tune-bounds reads — zero mappings.
+    fsm_fp = fingerprint(fsm)
     structures: Dict[str, _Structure] = {}
     infeasible = 0
     bounds_hits = 0
     baseline = baseline_candidate()
     for candidate in [baseline] + candidates:
-        map_key = map_stage.cache_key(
-            {"parse": parse_fp},
-            candidate.config_overrides(),
-        )
-        bounds: Optional[ImplBounds] = None
-        if resolved_cache is not None:
-            loaded = resolved_cache.get(_bounds_key(map_key))
-            if loaded is not None:
-                data = loaded[1]
-                bounds_hits += 1
-                if data.get("infeasible"):
-                    infeasible += 1
-                    continue
-                bounds = ImplBounds.from_dict(data)
-        if bounds is None:
+        bounds_key = _sidecar_key("tune-bounds", fsm_fp, candidate)
+        data = _cache_get(resolved_cache, bounds_key)
+        if data is not None:
+            bounds_hits += 1
+            if data.get("infeasible"):
+                infeasible += 1
+                continue
+            bounds = ImplBounds.from_dict(data)
+        else:
             try:
                 impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs())
             except (MappingError, FsmError):
                 infeasible += 1
-                if resolved_cache is not None:
-                    marker = {"infeasible": True}
-                    resolved_cache.put(
-                        _bounds_key(map_key), fingerprint(marker), marker
-                    )
+                _cache_put(resolved_cache, bounds_key, {"infeasible": True})
                 continue
-            bounds = ImplBounds.of(impl, Artifact.of(impl).fingerprint)
-            if resolved_cache is not None:
-                data = bounds.as_dict()
-                resolved_cache.put(
-                    _bounds_key(map_key), fingerprint(data), data
-                )
+            bounds = ImplBounds.of(impl, fingerprint(impl))
+            _cache_put(resolved_cache, bounds_key, bounds.as_dict())
         impl_fp = bounds.impl_fingerprint
         known = structures.get(impl_fp)
         if known is not None:
@@ -275,88 +256,54 @@ def tune_benchmark(
             lb_power=bounds.power_floor(frequency_mhz, duty_floor=duty_floor),
             area=float(bounds.area),
             delay_ns=bounds.timing().critical_path_ns,
-            map_key=map_key,
         )
-    baseline_fp = None
-    base_struct = None
     # The baseline was enumerated first, so its structure's candidate
     # IS the baseline candidate.
-    for fp, s in structures.items():
-        if s.candidate == baseline:
-            baseline_fp = fp
-            base_struct = s
-            break
+    base_struct = next(
+        (s for s in structures.values() if s.candidate == baseline), None
+    )
     assert base_struct is not None, "baseline mapping cannot be infeasible"
 
     # ---- Phase 2: batched evaluation with exact bound pruning ----------
     order = sorted(
-        (s for fp, s in structures.items() if fp != baseline_fp),
+        (s for s in structures.values() if s is not base_struct),
         key=lambda s: (s.lb_power, s.impl_fingerprint),
     )
-
-    def make_item(s: _Structure):
-        config = tune_config(
-            key_form, s.candidate.config_overrides(),
-            num_cycles=settings["num_cycles"],
-            seed=settings["seed"],
-            frequency=settings["frequency_mhz"],
-            verify=settings["verify"],
-        )
-        return (config, cache_path)
 
     evaluated: List[FrontierPoint] = []
     archive: List[Tuple[float, ...]] = []
     fitness_hits = 0
-    stage_hits = 0
-    stage_runs = 0
     pruned = 0
 
     def run_batch(batch: List[_Structure]) -> None:
-        nonlocal fitness_hits, stage_hits, stage_runs
-        # Sidecar memo first: a previously evaluated candidate's
-        # (impl fingerprint, fitness) pair answers from one small read,
-        # skipping pool dispatch entirely.  Misses evaluate through
-        # run_sharded; points append in the batch's original order so
-        # the evaluated sequence is identical hot or cold.
-        scored: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        misses: List[_Structure] = []
-        for s in batch:
-            data = None
-            if resolved_cache is not None:
-                loaded = resolved_cache.get(
-                    _point_key(s.map_key, settings)
-                )
-                if loaded is not None:
-                    data = loaded[1]
-            if data is not None:
-                scored[s.impl_fingerprint] = (data["impl_fp"], data["fitness"])
-                fitness_hits += 1
-            else:
-                misses.append(s)
+        nonlocal fitness_hits
+        # Sidecar memo first: a previously evaluated candidate's fitness
+        # answers from one small read, skipping pool dispatch entirely.
+        # Misses map and score through run_sharded; points append in the
+        # batch's original order so the evaluated sequence is identical
+        # hot or cold.
+        keys = [
+            _sidecar_key("tune-point", fsm_fp, s.candidate, settings)
+            for s in batch
+        ]
+        scored = [_cache_get(resolved_cache, key) for key in keys]
+        fitness_hits += sum(1 for fitness in scored if fitness is not None)
+        misses = [i for i, fitness in enumerate(scored) if fitness is None]
         if misses:
-            items = [make_item(s) for s in misses]
             results = run_sharded(
-                _eval_shard, items, jobs=jobs, max_retries=max_retries,
-                mp_context=mp_context,
+                _evaluate,
+                [(fsm, batch[i].candidate, settings) for i in misses],
+                jobs=jobs, max_retries=_MAX_RETRIES, mp_context=_MP_CONTEXT,
             )
-            for s, (impl_fp, fitness, f_hits, t_hits) in zip(misses, results):
-                scored[s.impl_fingerprint] = (impl_fp, fitness)
-                fitness_hits += f_hits
-                stage_hits += t_hits
-                stage_runs += 3
-                if resolved_cache is not None:
-                    data = {"impl_fp": impl_fp, "fitness": fitness}
-                    resolved_cache.put(
-                        _point_key(s.map_key, settings),
-                        fingerprint(data), data,
-                    )
-        for s in batch:
-            impl_fp, fitness = scored[s.impl_fingerprint]
+            for i, fitness in zip(misses, results):
+                scored[i] = fitness
+                _cache_put(resolved_cache, keys[i], fitness)
+        for s, fitness in zip(batch, scored):
             point = FrontierPoint(
                 candidate=s.candidate,
                 fitness=fitness,
                 group_size=s.group_size,
-                impl_fingerprint=impl_fp,
+                impl_fingerprint=s.impl_fingerprint,
             )
             evaluated.append(point)
             archive.append(point.objectives)
@@ -374,7 +321,7 @@ def tune_benchmark(
     for s in structures.values():
         s.lb_power += io_mw
 
-    pending = list(order)
+    pending = order
     while pending:
         if prune:
             keep: List[_Structure] = []
@@ -386,7 +333,7 @@ def tune_benchmark(
             pending = keep
         if not pending:
             break
-        batch, pending = pending[:batch_size], pending[batch_size:]
+        batch, pending = pending[:BATCH_SIZE], pending[BATCH_SIZE:]
         run_batch(batch)
 
     frontier = pareto_front(evaluated)
@@ -400,8 +347,6 @@ def tune_benchmark(
         "evaluated": len(evaluated),
         "fitness_cache_hits": fitness_hits,
         "bounds_cache_hits": bounds_hits,
-        "stage_cache_hits": stage_hits,
-        "stage_runs": stage_runs,
         "wall_seconds": round(wall, 6),
         "candidates_per_sec": round(len(candidates) / wall, 3) if wall > 0 else 0.0,
         "jobs": max(1, jobs),
@@ -422,46 +367,26 @@ def tune_benchmark(
     )
 
 
-def tune_many(
-    benchmarks: Sequence[Union[str, FSM]],
-    **kwargs,
-) -> Dict[str, TuneResult]:
-    """Tune several benchmarks (shared cache, insertion-ordered dict).
-
-    Each search parallelises internally across ``jobs`` workers;
-    benchmarks run in sequence so their candidate batches never
-    interleave (keeping per-benchmark determinism trivial).
-    """
-    results: Dict[str, TuneResult] = {}
-    for entry in benchmarks:
-        result = tune_benchmark(entry, **kwargs)
-        results[result.benchmark] = result
-    return results
-
-
 def replay_point(
     point: FrontierPoint,
     benchmark: Union[str, FSM],
-    cache: Union[None, bool, str, ArtifactCache] = None,
     **settings,
 ) -> Dict[str, Any]:
-    """Re-evaluate one frontier point; returns the fresh fitness dict.
+    """Re-map and re-score one frontier point; returns the fresh fitness
+    dict.
 
-    With the settings stored in the frontier artifact, the result is
-    bit-identical to ``point.fitness`` (the replayability guarantee the
-    determinism suite asserts).
+    ``settings`` are a search's evaluation settings (``num_cycles``,
+    ``seed``, ``frequency_mhz``, ``verify``; defaults as in
+    :func:`tune_benchmark`).  With the settings stored in the frontier
+    artifact, the result is bit-identical to ``point.fitness`` (the
+    replayability guarantee the determinism suite asserts).
     """
-    key_form, _, _ = _resolve_target(benchmark)
-    config = tune_config(
-        key_form, point.candidate.config_overrides(),
-        num_cycles=settings.get("num_cycles", DEFAULT_TUNE_CYCLES),
-        seed=settings.get("seed", 2004),
-        frequency=settings.get(
-            "frequency_mhz", settings.get("frequency", DEFAULT_TUNE_FREQUENCY_MHZ)
-        ),
-        verify=settings.get("verify", True),
-    )
-    resolved = resolve_cache(cache)
-    cache_path = str(resolved.root) if resolved is not None else False
-    _, fitness, _, _ = _eval_shard((config, cache_path))
-    return fitness
+    fsm, _ = _resolve_target(benchmark)
+    settings = {
+        "num_cycles": DEFAULT_TUNE_CYCLES,
+        "seed": 2004,
+        "frequency_mhz": DEFAULT_TUNE_FREQUENCY_MHZ,
+        "verify": True,
+        **settings,
+    }
+    return _evaluate((fsm, point.candidate, settings))

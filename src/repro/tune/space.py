@@ -74,17 +74,6 @@ class TuneCandidate:
             "k": self.lut_k,
         }
 
-    def config_overrides(self) -> Dict[str, Any]:
-        """Pipeline-config keys this candidate pins (see tune stages)."""
-        return {
-            "rom_encoding": self.encoding,
-            "moore_outputs": self.moore_outputs,
-            "force_compaction": self.force_compaction,
-            "clock_control": self.clock_control,
-            "aspect": self.aspect,
-            "lut_k": self.lut_k,
-        }
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe form used in frontier artifacts."""
         return {

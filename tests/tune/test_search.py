@@ -9,9 +9,9 @@ from repro.romfsm.mapper import map_fsm_to_rom
 from repro.synth import codegen
 from repro.tune import (
     TuneSpace,
+    baseline_candidate,
     replay_point,
     tune_benchmark,
-    tune_many,
 )
 
 DETECTOR = """
@@ -96,10 +96,6 @@ class TestSearch:
         assert result.benchmark == "det"
         assert result.best_power.power_mw <= result.baseline.power_mw
 
-    def test_tune_many_keyed_by_benchmark(self):
-        results = tune_many(["dk14"], cache=False, **SMALL)
-        assert list(results) == ["dk14"]
-
     def test_cold_search_builds_each_aux_network_once(self, monkeypatch):
         from collections import Counter
 
@@ -136,32 +132,75 @@ class TestSearch:
             result = tune_benchmark("dk14", cache=False, **SMALL)
         finally:
             mapper.clear_aux_logic_cache()
-        # Phase 1 and the tune-map re-map both mapped every structure,
-        # and clock control is on in half the grid.
+        # Phase 1 maps every candidate and each evaluation maps its
+        # structure again, and clock control is on in half the grid.
         assert result.stats["structures"] > 1
         assert mux_builds and cc_builds
         assert max(mux_builds.values()) == 1
         assert max(cc_builds.values()) == 1
 
 
+def count_mappings(monkeypatch):
+    """Count the tuner's calls of the mapper (Phase 1 and evaluations)."""
+    from repro.tune import search
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return map_fsm_to_rom(*args, **kwargs)
+
+    monkeypatch.setattr(search, "map_fsm_to_rom", counting)
+    return calls
+
+
 class TestSidecarMemos:
-    def test_warm_search_runs_no_pipeline_stages(self, tmp_path):
+    def test_warm_search_maps_and_simulates_nothing(self, tmp_path,
+                                                    monkeypatch):
         cache = str(tmp_path / "cache")
         cold = tune_benchmark("dk14", cache=cache, **SMALL)
         compiles = codegen.stats().compiles
+        mappings = count_mappings(monkeypatch)
         warm = tune_benchmark("dk14", cache=cache, **SMALL)
         assert warm.canonical_json() == cold.canonical_json()
         # Nothing is simulated, so no netlist is compiled either.
         assert codegen.stats().compiles == compiles
         s = warm.stats
-        # Every bound answered from the tune-bounds sidecar (one entry
+        # Every bound answered from the tune-bounds sidecar (one lookup
         # per grid candidate plus the baseline), every fitness from the
         # tune-point sidecar: zero mappings, zero pool dispatches.
-        assert s["stage_runs"] == 0
+        assert len(mappings) == 0
         assert s["bounds_cache_hits"] == s["candidates"] + 1
         assert s["fitness_cache_hits"] == s["evaluated"]
 
-    def test_infeasibility_marker_is_cached(self, tmp_path):
+    def test_cold_search_stores_only_the_two_sidecars(self, tmp_path):
+        from repro.pipeline.cache import ArtifactCache
+
+        cache = tmp_path / "cache"
+        result = tune_benchmark("dk14", cache=str(cache), **SMALL)
+        store = ArtifactCache(cache)
+        kinds = {"bounds": 0, "point": 0, "other": 0}
+        for path in cache.glob("objects/*/*.pkl"):
+            value = store.get(path.stem)[1]
+            if isinstance(value, dict) and (
+                "impl_fingerprint" in value or "infeasible" in value
+            ):
+                kinds["bounds"] += 1
+            elif isinstance(value, dict) and "power_mw" in value:
+                kinds["point"] += 1
+            else:
+                kinds["other"] += 1
+        # One tune-bounds entry per distinct candidate (the baseline is
+        # also a grid point, so it shares its entry) and one tune-point
+        # entry per evaluated structure; no mapped implementation.
+        distinct = {baseline_candidate(), *SPACE.enumerate()}
+        assert kinds == {
+            "bounds": len(distinct),
+            "point": result.stats["evaluated"],
+            "other": 0,
+        }
+
+    def test_infeasibility_marker_is_cached(self, tmp_path, monkeypatch):
         fsm = parse_kiss(DETECTOR, "det")
         space = TuneSpace(moore_modes=("auto", "external"),
                           encodings=("binary",), clock_control=(False,),
@@ -169,10 +208,11 @@ class TestSidecarMemos:
         cache = str(tmp_path / "cache")
         kwargs = dict(space=space, cache=cache, num_cycles=96, seed=7)
         cold = tune_benchmark(fsm, **kwargs)
+        mappings = count_mappings(monkeypatch)
         warm = tune_benchmark(fsm, **kwargs)
         assert warm.canonical_json() == cold.canonical_json()
         assert warm.stats["infeasible"] == cold.stats["infeasible"]
-        assert warm.stats["stage_runs"] == 0
+        assert len(mappings) == 0
 
     def test_cacheless_search_matches_cached_one(self, tmp_path):
         cached = tune_benchmark("dk14", cache=str(tmp_path / "c"), **SMALL)
@@ -184,9 +224,7 @@ class TestReplay:
     def test_best_point_replays_bit_identically(self, tmp_path):
         cache = str(tmp_path / "cache")
         result = tune_benchmark("dk14", cache=cache, **SMALL)
-        fresh = replay_point(
-            result.best_power, "dk14", cache=cache, **result.settings,
-        )
+        fresh = replay_point(result.best_power, "dk14", **result.settings)
         assert fresh == result.best_power.fitness
 
     def test_replay_from_written_artifact(self, tmp_path):
@@ -195,5 +233,5 @@ class TestReplay:
         result = tune_benchmark("dk14", cache=False, **SMALL)
         loaded = load_frontier(result.write(tmp_path / "frontier.json"))
         point = loaded.best_power
-        fresh = replay_point(point, "dk14", cache=False, **loaded.settings)
+        fresh = replay_point(point, "dk14", **loaded.settings)
         assert fresh == point.fitness

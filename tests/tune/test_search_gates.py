@@ -15,15 +15,16 @@ import pytest
 from repro.bench.suite import load_benchmark
 from repro.fsm.assign import clear_strategy_cache
 from repro.fsm.markov import clear_stationary_cache
-from repro.romfsm.mapper import clear_aux_logic_cache
+from repro.pipeline.artifact import Artifact
+from repro.romfsm.mapper import clear_aux_logic_cache, map_fsm_to_rom
 from repro.tune import (
+    DEFAULT_TUNE_FREQUENCY_MHZ,
     baseline_candidate,
-    build_tune_pipeline,
     default_space,
     replay_point,
+    score,
     tune_benchmark,
 )
-from repro.tune.fitness import tune_config
 
 BENCHMARKS = ["dk14", "sand", "ex1"]
 SETTINGS = dict(jobs=1, num_cycles=256, seed=2004)
@@ -43,7 +44,7 @@ def searched(tmp_path_factory):
 
 def naive_round(name, cycles, seed, limit):
     """The reference the tuner is judged against: every candidate
-    simulated individually — no cache, no dedupe, no pruning, no
+    mapped and scored individually — no cache, no dedupe, no pruning, no
     in-process memos.  The sample *strides* across the full grid (the
     enumeration orders the encoding axis outermost, so a head-of-list
     sample would be all cheap binary-encoding candidates) and the
@@ -59,17 +60,15 @@ def naive_round(name, cycles, seed, limit):
         sample = candidates[::step][:limit]
     else:
         sample = candidates
-    pipeline = build_tune_pipeline()
+    settings = dict(num_cycles=cycles, seed=seed,
+                    frequency_mhz=DEFAULT_TUNE_FREQUENCY_MHZ, verify=True)
     start = time.perf_counter()
     for candidate in sample:
         clear_stationary_cache()
         clear_strategy_cache()
         clear_aux_logic_cache()
-        config = tune_config(
-            (name, None), candidate.config_overrides(),
-            num_cycles=cycles, seed=seed,
-        )
-        pipeline.run(config, cache=None)
+        impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs())
+        score(fsm, impl, settings)
     return len(sample) / (time.perf_counter() - start)
 
 
@@ -81,13 +80,16 @@ def test_search_beats_fixed_heuristic(searched, name):
 
 @pytest.mark.parametrize("name", BENCHMARKS)
 def test_every_frontier_point_replays_bit_identically(searched, name):
-    # Replay without the cache, so each point is re-simulated rather
-    # than read back from the entry the search wrote.
+    # Replay re-maps and re-simulates each point rather than reading
+    # back the entry the search wrote.
     _, results = searched
     result = results[name]
+    fsm = load_benchmark(name)
     for point in result.frontier:
-        fresh = replay_point(point, name, cache=False, **result.settings)
+        fresh = replay_point(point, name, **result.settings)
         assert fresh == point.fitness, point.candidate
+        impl = map_fsm_to_rom(fsm, **point.candidate.mapper_kwargs())
+        assert point.impl_fingerprint == Artifact.of(impl).fingerprint
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
