@@ -11,10 +11,10 @@ Scenario: a deployed vending-machine controller must change its pricing
 policy (accept a new coin sequence) after manufacturing.  The FF
 implementation would need a new bitstream through synthesis + P&R; the
 ROM implementation just rewrites its words.  This example drives the
-change through the same incremental path as ``romfsm eco`` and
-``POST /v1/eco`` — :func:`repro.flows.eco.eco_evaluate` — against a warm
-artifact cache, so the parse and rom-map stages of the deployed machine
-are reused and only the patch/re-simulate/power stages run.
+change through the same incremental path as ``romfsm eco`` —
+:func:`repro.flows.eco.eco_evaluate` — against a warm artifact cache,
+so the parse and rom-map stages of the deployed machine are reused
+and only the patch/re-simulate/power stages run.
 """
 
 import tempfile
@@ -51,7 +51,7 @@ def vending_v1() -> FSM:
     return fsm
 
 
-# The ECO as a declarative edit script (the /v1/eco request shape):
+# The ECO as a declarative edit script (the `romfsm eco --edits` format):
 # price drops to 15 cents, so every path that reaches 15 dispenses.
 # N15 becomes unreachable but stays in the state set — the ECO may not
 # add or remove states, only re-route transitions and change outputs.
@@ -81,7 +81,7 @@ def main() -> None:
         print(f"Deployed controller: {impl.config.name}, "
               f"{impl.layout.depth} words, 0 fabric LUTs")
 
-        # ECO: same entry point as `romfsm eco` / POST /v1/eco.  The
+        # ECO: same entry point as `romfsm eco`.  The
         # parse and rom-map artifacts are cache hits; only the words
         # are patched and re-verified.
         result, report = eco_evaluate(

@@ -528,18 +528,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         options["num_cycles"] = args.cycles
     try:
         if args.benchmark:
-            if args.kind == "evaluate":
-                reply = client.evaluate(benchmark=args.benchmark, **options)
-            else:
-                reply = client.map(benchmark=args.benchmark)
+            reply = client.evaluate(benchmark=args.benchmark, **options)
         else:
             if args.file is None:
                 raise CliError("provide a .kiss2 file or --benchmark NAME")
             if not Path(args.file).exists():
                 raise CliError(f"no such file: {args.file}")
-            if args.kind == "map":
-                options = {}
-            reply = client.submit_file(args.file, kind=args.kind, **options)
+            reply = client.submit_file(args.file, **options)
     except ServiceError as exc:
         raise CliError(
             f"service at {args.host}:{args.port} answered {exc.status or 'n/a'} "
@@ -725,12 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
-        "submit", help="send one evaluate/map request to a running server"
+        "submit", help="send one evaluate request to a running server"
     )
     p.add_argument("file", nargs="?", help=".kiss2 file to upload")
     p.add_argument("--benchmark", metavar="NAME",
                    help="evaluate a named paper benchmark instead of a file")
-    p.add_argument("--kind", default="evaluate", choices=["evaluate", "map"])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
     p.add_argument("--timeout", type=float, default=300.0, metavar="S")

@@ -20,9 +20,9 @@ re-runs the patched ROM with the codegen replayer and verifies it
 cycle-exactly against the edited reference machine; ``eco-power``
 re-estimates ROM power/timing from the fresh activity numbers.
 
-Entry point: :func:`eco_evaluate` (the engine behind ``romfsm eco`` and
-``POST /v1/eco``).  Callers may pass ``old_fingerprint`` — the ``rom-map``
-stage fingerprint a previously returned result advertised — and the flow
+Entry point: :func:`eco_evaluate` (the engine behind ``romfsm eco``).
+Callers may pass ``old_fingerprint`` — the ``rom-map`` stage
+fingerprint a previously returned result advertised — and the flow
 fails with :class:`EcoError` if the image the edit script was built
 against is not the image this run produced (e.g. the mapper changed
 underneath the edit).
@@ -105,7 +105,7 @@ class EcoPowerBundle:
 
 @dataclass
 class EcoResult:
-    """Everything ``romfsm eco`` / ``POST /v1/eco`` reports."""
+    """Everything ``romfsm eco`` reports."""
 
     old_fsm: FSM
     new_fsm: FSM

@@ -6,8 +6,7 @@ re-place-and-route.  To exploit that in the pipeline we need to know
 *what kind* of change an edit is: :func:`diff_fsm` compares two machines
 transition by transition and classifies the result, and
 :func:`apply_edits` builds the edited machine from a small declarative
-edit script (the wire format of ``POST /v1/eco`` and ``romfsm eco
---edits``).
+edit script (the format of ``romfsm eco --edits``).
 
 A diff is *ROM-only* when the interface envelope is unchanged — same
 input/output widths, same state set, same reset state — so only the

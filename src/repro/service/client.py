@@ -24,7 +24,7 @@ import socket
 import time
 from http.client import HTTPConnection, HTTPException
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -151,183 +151,10 @@ class ServiceClient:
             body["frequencies_mhz"] = list(frequencies_mhz)
         return self._json("POST", "/v1/evaluate", body)
 
-    def map(
-        self,
-        benchmark: Optional[str] = None,
-        kiss: Optional[str] = None,
-        name: Optional[str] = None,
-        **options: Any,
-    ) -> Dict[str, Any]:
-        body: Dict[str, Any] = dict(options)
-        if benchmark is not None:
-            body["benchmark"] = benchmark
-        if kiss is not None:
-            body["kiss"] = kiss
-        if name is not None:
-            body["name"] = name
-        return self._json("POST", "/v1/map", body)
-
-    def eco(
-        self,
-        benchmark: Optional[str] = None,
-        kiss: Optional[str] = None,
-        name: Optional[str] = None,
-        edits: Optional[Sequence[Dict[str, Any]]] = None,
-        new_kiss: Optional[str] = None,
-        old_fingerprint: Optional[str] = None,
-        **options: Any,
-    ) -> Dict[str, Any]:
-        """POST /v1/eco: absorb a ROM-only edit without re-synthesis.
-
-        Provide the old machine (``benchmark`` or ``kiss``) plus exactly
-        one of ``edits`` (a declarative edit script, see
-        :func:`repro.fsm.diff.apply_edits`) or ``new_kiss`` (the full
-        edited machine).  ``old_fingerprint`` — the ``old_fingerprint``
-        of a previous eco/evaluate answer — makes the server reject the
-        edit if the deployed ROM image is not the one it targets.
-        """
-        body: Dict[str, Any] = dict(options)
-        if benchmark is not None:
-            body["benchmark"] = benchmark
-        if kiss is not None:
-            body["kiss"] = kiss
-        if name is not None:
-            body["name"] = name
-        if edits is not None:
-            body["edits"] = list(edits)
-        if new_kiss is not None:
-            body["new_kiss"] = new_kiss
-        if old_fingerprint is not None:
-            body["old_fingerprint"] = old_fingerprint
-        return self._json("POST", "/v1/eco", body)
-
-    def tune(
-        self,
-        benchmark: Optional[str] = None,
-        kiss: Optional[str] = None,
-        name: Optional[str] = None,
-        **options: Any,
-    ) -> Dict[str, Any]:
-        """POST /v1/tune: search mapper configurations for the Pareto
-        frontier.
-
-        ``options`` pass through to the request body (``num_cycles``,
-        ``seed``, ``frequency_mhz``, ``verify``, ``prune``).  The
-        answer's ``result`` field is the replayable frontier artifact —
-        save it verbatim and it feeds ``romfsm eval --tuned``.
-        Identical tune requests coalesce server-side onto one search.
-        """
-        body: Dict[str, Any] = dict(options)
-        if benchmark is not None:
-            body["benchmark"] = benchmark
-        if kiss is not None:
-            body["kiss"] = kiss
-        if name is not None:
-            body["name"] = name
-        return self._json("POST", "/v1/tune", body)
-
-    def batch_stream(
-        self, items: Sequence[Dict[str, Any]]
-    ) -> Iterator[Dict[str, Any]]:
-        """POST a campaign to ``/v1/batch``, yielding lines as they land.
-
-        Yields the header line, one line per item *in completion order*
-        (each carries its ``item`` index), then the ``done`` line.  The
-        stream is close-delimited NDJSON, so lines surface as the server
-        flushes them — a campaign's early finishers arrive while slow
-        items still run.  Connection-level retries apply only *before*
-        the first byte arrives; once streaming, a transport failure
-        propagates (results already yielded stand, and resubmitting the
-        campaign is always safe — finished items answer from cache or
-        coalesce).
-        """
-        payload = json.dumps({"items": list(items)}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                delay = (
-                    self.backoff_s * (2 ** (attempt - 1))
-                    * (0.5 + self._rng.random())
-                )
-                time.sleep(delay)
-            conn = HTTPConnection(self.host, self.port, timeout=self.timeout_s)
-            try:
-                conn.request("POST", "/v1/batch", body=payload, headers=headers)
-                response = conn.getresponse()
-            except (ConnectionError, socket.timeout, HTTPException, OSError) as exc:
-                conn.close()
-                last_error = exc
-                continue
-            try:
-                if not (200 <= response.status < 300):
-                    raw = response.read()
-                    try:
-                        decoded = json.loads(raw.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        decoded = {}
-                    raise ServiceError(
-                        response.status,
-                        decoded.get("error", "error"),
-                        decoded.get("message", raw[:200].decode("utf-8", "replace")),
-                    )
-                while True:
-                    line = response.readline()
-                    if not line:
-                        return
-                    line = line.strip()
-                    if not line:
-                        continue
-                    decoded = json.loads(line.decode("utf-8"))
-                    yield decoded
-                    if decoded.get("done"):
-                        # The done line IS the end of the campaign; do
-                        # not wait for EOF (a forked worker elsewhere
-                        # may hold a duplicate of the socket open).
-                        return
-            finally:
-                conn.close()
-            return
-        raise ServiceError(
-            0, "unreachable",
-            f"cannot reach {self.host}:{self.port} after "
-            f"{self.retries + 1} attempt(s): {last_error}",
-        ) from last_error
-
-    def batch(self, items: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Run a campaign; return per-item result lines in *item order*.
-
-        Raises :class:`ServiceError` if the stream ends without a
-        ``done`` line (truncated response) — partial campaigns must
-        never be mistaken for complete ones.
-        """
-        results: Dict[int, Dict[str, Any]] = {}
-        done = None
-        for line in self.batch_stream(items):
-            if "item" in line:
-                results[line["item"]] = line
-            elif line.get("done"):
-                done = line
-        if done is None:
-            raise ServiceError(
-                0, "truncated",
-                f"batch stream ended after {len(results)}/{len(items)} "
-                "items without a done line",
-            )
-        return [results[i] for i in sorted(results)]
-
     def submit_file(
-        self,
-        path: Union[str, Path],
-        kind: str = "evaluate",
-        **options: Any,
+        self, path: Union[str, Path], **options: Any
     ) -> Dict[str, Any]:
-        """Evaluate/map a ``.kiss2`` file by uploading its text."""
+        """Evaluate a ``.kiss2`` file by uploading its text."""
         path = Path(path)
-        kiss = path.read_text()
         name = path.stem.replace("-", "_") or "fsm"
-        if kind == "evaluate":
-            return self.evaluate(kiss=kiss, name=name, **options)
-        if kind == "map":
-            return self.map(kiss=kiss, name=name, **options)
-        raise ValueError(f"unknown kind {kind!r}")
+        return self.evaluate(kiss=path.read_text(), name=name, **options)

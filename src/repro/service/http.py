@@ -1,7 +1,7 @@
 """Minimal HTTP/1.1 framing over asyncio streams.
 
 Just enough of the protocol for the service's needs — request line,
-headers, ``Content-Length`` bodies, close-delimited responses — with no
+headers, ``Content-Length`` bodies and responses — with no
 dependency beyond the stdlib.  Connections are one-shot
 (``Connection: close``): the clients we care about (the sync client,
 curl, Prometheus scrapers) all cope, and it keeps connection state out
@@ -22,8 +22,6 @@ __all__ = [
     "read_request",
     "json_response",
     "error_response",
-    "stream_head",
-    "ndjson_line",
 ]
 
 MAX_HEADER_BYTES = 16 * 1024
@@ -145,32 +143,6 @@ def error_response(status: int, message: str, reason: str) -> Response:
     return json_response(
         {"ok": False, "error": reason, "message": message}, status=status
     )
-
-
-def stream_head(
-    status: int = 200, content_type: str = "application/x-ndjson"
-) -> bytes:
-    """Response head for a close-delimited streaming body.
-
-    One-shot connections make streaming trivial: with no
-    ``Content-Length`` the body simply runs until the server closes the
-    socket, so NDJSON lines can be flushed as results complete — no
-    chunked encoding required, and every stdlib client copes.
-    """
-    reason = REASONS.get(status, "Unknown")
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Connection: close\r\n"
-        f"\r\n"
-    )
-    return head.encode("ascii")
-
-
-def ndjson_line(payload: Any) -> bytes:
-    """One canonical NDJSON line (sorted keys, compact separators)."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return (body + "\n").encode("utf-8")
 
 
 def split_query(path: str) -> Tuple[str, str]:

@@ -44,7 +44,7 @@ from repro.pipeline.cache import resolve_cache
 from repro.pipeline.driver import RunManifest, WorkerCrashError
 from repro.pipeline.pipeline import PipelineCancelled
 from repro.service import http
-from repro.service.jobs import Job, JobError, parse_batch, parse_job, run_job
+from repro.service.jobs import Job, JobError, parse_job, run_job
 from repro.service.metrics import MetricsRegistry, render_labels
 
 __all__ = ["CompileServer", "ServerConfig"]
@@ -68,10 +68,6 @@ class ServerConfig:
     # Process-pool rebuilds tolerated per job before a typed failure
     # (a killed worker breaks the whole pool; see _execute).
     worker_retries: int = 2
-    # Concurrent /v1/batch item submissions; 0 = auto (2 * jobs).  The
-    # window keeps a campaign from flooding admission control while
-    # still keeping every executor slot busy.
-    batch_window: int = 0
 
 
 class _InFlight:
@@ -127,9 +123,6 @@ class CompileServer:
         )
         self._inflight: Dict[str, _InFlight] = {}
         self._slots = asyncio.Semaphore(max(1, self.config.jobs))
-        self._batch_window = asyncio.Semaphore(
-            self.config.batch_window or max(2, 2 * self.config.jobs)
-        )
         self._executor = None
         self._executor_generation = 0
         self._server: Optional[asyncio.base_events.Server] = None
@@ -159,19 +152,9 @@ class CompileServer:
             "Executions stopped at a stage boundary after all waiters left.")
         self._m_latency = m.histogram(
             "romfsm_request_seconds", "End-to-end request latency (seconds).")
-        self._m_batch_items = m.counter(
-            "romfsm_batch_items_total",
-            "Batch campaign items streamed, by outcome.")
         self._m_worker_crashes = m.counter(
             "romfsm_worker_crashes_total",
             "Process-pool rebuilds after a crashed worker.")
-        self._m_tune_candidates = m.counter(
-            "romfsm_tune_candidates_total",
-            "Tuner candidates by outcome (evaluated / pruned / deduped "
-            "/ infeasible).")
-        self._m_tune_cache_hits = m.counter(
-            "romfsm_tune_cache_hits_total",
-            "Tuner candidate evaluations answered by the fitness cache.")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -259,28 +242,9 @@ class CompileServer:
                 if request is None:
                     return
                 base = http.split_query(request.path)[0]
-                if base not in ("/healthz", "/metrics", "/v1/evaluate",
-                                "/v1/map", "/v1/eco", "/v1/tune",
-                                "/v1/batch"):
+                if base not in ("/healthz", "/metrics", "/v1/evaluate"):
                     base = "other"  # bound the metrics label cardinality
                 route = f"{request.method} {base}"
-                if base == "/v1/batch" and request.method == "POST":
-                    # Streaming route: the handler writes the response
-                    # itself (NDJSON lines as items complete).
-                    status = await self._handle_batch(request, writer)
-                    seconds = time.perf_counter() - start
-                    self._m_requests.inc(route=route, status=str(status))
-                    self._m_latency.observe(seconds)
-                    logger.info(kv(
-                        "request", route=route, status=status,
-                        ms=seconds * 1e3,
-                    ))
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, BrokenPipeError):
-                        pass
-                    return
                 response = await self._dispatch(request)
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             logger.exception(kv("request_error", route=route, error=type(exc).__name__))
@@ -329,25 +293,22 @@ class CompileServer:
                 body=self.render_metrics().encode("utf-8"),
                 content_type="text/plain; version=0.0.4",
             )
-        if path in ("/v1/evaluate", "/v1/map", "/v1/eco", "/v1/tune"):
+        if path == "/v1/evaluate":
             if request.method != "POST":
                 return http.error_response(405, "use POST", "bad_method")
-            return await self._handle_job(request, kind=path.rsplit("/", 1)[1])
-        if path == "/v1/batch":
-            # POST is intercepted (streaming) before dispatch.
-            return http.error_response(405, "use POST", "bad_method")
+            return await self._handle_job(request)
         return http.error_response(404, f"no route {path!r}", "not_found")
 
     # -- job orchestration ---------------------------------------------
 
-    async def _handle_job(self, request: http.Request, kind: str) -> http.Response:
+    async def _handle_job(self, request: http.Request) -> http.Response:
         if self._draining:
             self._m_rejected.inc(reason="draining")
             return http.error_response(
                 503, "server is draining; retry elsewhere", "draining"
             )
         try:
-            job = parse_job(request.json(), kind=kind)
+            job = parse_job(request.json())
         except http.HttpError as exc:
             self._m_rejected.inc(reason=exc.reason)
             return http.error_response(exc.status, exc.message, exc.reason)
@@ -365,105 +326,37 @@ class CompileServer:
                 "overloaded",
             )
 
-        status, value, records = await self._await_job(
-            entry, job, self.config.timeout_s
-        )
-        if status == "timeout":
-            return http.error_response(
-                504,
-                f"job {job.label} exceeded the {self.config.timeout_s:g}s budget",
-                "timeout",
-            )
-        if status == "cancelled":
-            # Should only reach waiters in a drain-abandon corner; report
-            # it as the timeout it effectively is.
-            return http.error_response(
-                504, f"job {job.label} was cancelled", "timeout"
-            )
-        if status == "job_error":
-            return http.error_response(400, str(value), value.reason)
-        if status == "internal":
-            return http.error_response(
-                500, f"{type(value).__name__}: {value}", "internal"
-            )
-
-        hits = sum(1 for r in records if r.cache_hit)
-        return http.json_response({
-            "ok": True,
-            "kind": job.kind,
-            "key": job.key,
-            "coalesced": coalesced,
-            "result": value,
-            "pipeline": {
-                "stage_runs": len(records),
-                "cache_hits": hits,
-                "cache_misses": len(records) - hits,
-            },
-        })
-
-    def _admit(
-        self, job: Job, enforce_queue_limit: bool = True
-    ) -> Tuple[Optional[_InFlight], bool]:
-        """Attach to an identical in-flight job, or spawn the execution.
-
-        Returns ``(entry, coalesced)``; ``(None, False)`` means the
-        admission queue rejected the job (only when
-        ``enforce_queue_limit`` — batch items are windowed by their own
-        semaphore instead, so a campaign cannot starve single requests
-        of 429 headroom they never got to race for).
-        """
-        entry = self._inflight.get(job.key)
-        if entry is not None:
-            self._m_coalesced.inc()
-            return entry, True
-        if enforce_queue_limit:
-            queued = int(self._m_queue_depth.value())
-            running = int(self._m_in_flight.value())
-            if queued >= self.config.max_queue and running >= self.config.jobs:
-                self._m_rejected.inc(reason="overloaded")
-                logger.warning(kv(
-                    "reject_overloaded", key=job.key[:12], queued=queued,
-                    running=running, max_queue=self.config.max_queue,
-                ))
-                return None, False
-        entry = _InFlight(job.key, asyncio.get_running_loop().create_future())
-        self._inflight[job.key] = entry
-        entry.task = asyncio.ensure_future(self._execute(entry, job))
-        return entry, False
-
-    async def _await_job(
-        self, entry: _InFlight, job: Job, timeout_s: float
-    ) -> Tuple[str, Any, Any]:
-        """Wait on a coalesced execution.
-
-        Returns ``(status, value, records)``: ``("ok", payload,
-        records)`` on success; otherwise status is ``"timeout"``,
-        ``"cancelled"``, ``"job_error"`` or ``"internal"`` with the
-        exception (if any) in ``value``.  Waiter accounting and
-        last-waiter cancellation live here so every route (single or
-        batch) shares the same semantics.
-        """
+        timeout_s = self.config.timeout_s
         entry.waiters += 1
         try:
             payload, records = await asyncio.wait_for(
                 asyncio.shield(entry.future), timeout=timeout_s
             )
-            return "ok", payload, records
         except asyncio.TimeoutError:
             self._m_rejected.inc(reason="timeout")
             logger.warning(kv(
                 "request_timeout", key=job.key[:12],
                 timeout_s=timeout_s, waiters=entry.waiters - 1,
             ))
-            return "timeout", None, None
+            return http.error_response(
+                504,
+                f"job {job.label} exceeded the {timeout_s:g}s budget",
+                "timeout",
+            )
         except (PipelineCancelled, asyncio.CancelledError):
+            # Should only reach waiters in a drain-abandon corner; report
+            # it as the timeout it effectively is.
             self._m_rejected.inc(reason="timeout")
-            return "cancelled", None, None
+            return http.error_response(
+                504, f"job {job.label} was cancelled", "timeout"
+            )
         except JobError as exc:
             self._m_rejected.inc(reason=exc.reason)
-            return "job_error", exc, None
+            return http.error_response(400, str(exc), exc.reason)
         except Exception as exc:  # noqa: BLE001 - runner bug → 500
-            return "internal", exc, None
+            return http.error_response(
+                500, f"{type(exc).__name__}: {exc}", "internal"
+            )
         finally:
             entry.waiters -= 1
             if entry.waiters == 0 and not entry.future.done():
@@ -474,154 +367,43 @@ class CompileServer:
                 if not entry.started and entry.task is not None:
                     entry.task.cancel()
 
-    # -- batch campaigns -----------------------------------------------
+        hits = sum(1 for r in records if r.cache_hit)
+        return http.json_response({
+            "ok": True,
+            "kind": "evaluate",
+            "key": job.key,
+            "coalesced": coalesced,
+            "result": payload,
+            "pipeline": {
+                "stage_runs": len(records),
+                "cache_hits": hits,
+                "cache_misses": len(records) - hits,
+            },
+        })
 
-    async def _handle_batch(self, request: http.Request, writer) -> int:
-        """POST /v1/batch: run a campaign, streaming per-item NDJSON.
+    def _admit(self, job: Job) -> Tuple[Optional[_InFlight], bool]:
+        """Attach to an identical in-flight job, or spawn the execution.
 
-        The response is close-delimited: a header line, one line per
-        item *in completion order* (each carrying its ``item`` index),
-        and a final ``done`` line with the tally.  Items coalesce with
-        each other and with single-endpoint requests through the same
-        in-flight map; a stalled item yields a typed in-stream timeout
-        line, never a hung campaign.
+        Returns ``(entry, coalesced)``; ``(None, False)`` means the
+        admission queue rejected the job.
         """
-        if self._draining:
-            self._m_rejected.inc(reason="draining")
-            return await self._write_plain(
-                writer,
-                http.error_response(
-                    503, "server is draining; retry elsewhere", "draining"
-                ),
-            )
-        try:
-            items = parse_batch(request.json())
-        except http.HttpError as exc:
-            self._m_rejected.inc(reason=exc.reason)
-            return await self._write_plain(
-                writer, http.error_response(exc.status, exc.message, exc.reason)
-            )
-        except JobError as exc:
-            self._m_rejected.inc(reason=exc.reason)
-            return await self._write_plain(
-                writer, http.error_response(400, str(exc), exc.reason)
-            )
-
-        async def run_item(index: int, job: Job) -> Dict[str, Any]:
-            async with self._batch_window:
-                entry, coalesced = self._admit(job, enforce_queue_limit=False)
-                status, value, records = await self._await_job(
-                    entry, job, self.config.timeout_s
-                )
-            if status == "ok":
-                hits = sum(1 for r in records if r.cache_hit)
-                return {
-                    "item": index,
-                    "ok": True,
-                    "kind": job.kind,
-                    "key": job.key,
-                    "coalesced": coalesced,
-                    "result": value,
-                    "pipeline": {
-                        "stage_runs": len(records),
-                        "cache_hits": hits,
-                        "cache_misses": len(records) - hits,
-                    },
-                }
-            if status in ("timeout", "cancelled"):
-                return {
-                    "item": index, "ok": False, "error": "timeout",
-                    "message": (
-                        f"item {job.label} exceeded the "
-                        f"{self.config.timeout_s:g}s budget"
-                    ),
-                }
-            if status == "job_error":
-                return {
-                    "item": index, "ok": False,
-                    "error": value.reason, "message": str(value),
-                }
-            return {
-                "item": index, "ok": False, "error": "internal",
-                "message": f"{type(value).__name__}: {value}",
-            }
-
-        async def bad_item(index: int, exc: JobError) -> Dict[str, Any]:
-            return {
-                "item": index, "ok": False,
-                "error": exc.reason, "message": str(exc),
-            }
-
-        tasks = [
-            asyncio.ensure_future(
-                bad_item(i, item) if isinstance(item, JobError)
-                else run_item(i, item)
-            )
-            for i, item in enumerate(items)
-        ]
-
-        ok_count = failed = 0
-        try:
-            writer.write(http.stream_head())
-            writer.write(http.ndjson_line(
-                {"ok": True, "kind": "batch", "items": len(tasks)}
-            ))
-            await writer.drain()
-            for done in asyncio.as_completed(tasks):
-                line = await done
-                if line.get("ok"):
-                    ok_count += 1
-                    self._m_batch_items.inc(outcome="ok")
-                else:
-                    failed += 1
-                    self._m_batch_items.inc(
-                        outcome=line.get("error", "error")
-                    )
-                writer.write(http.ndjson_line(line))
-                await writer.drain()
-            writer.write(http.ndjson_line({
-                "done": True, "items": len(tasks),
-                "ok_count": ok_count, "failed": failed,
-            }))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            # Client went away mid-stream: abandon what nobody reads.
+        entry = self._inflight.get(job.key)
+        if entry is not None:
+            self._m_coalesced.inc()
+            return entry, True
+        queued = int(self._m_queue_depth.value())
+        running = int(self._m_in_flight.value())
+        if queued >= self.config.max_queue and running >= self.config.jobs:
+            self._m_rejected.inc(reason="overloaded")
             logger.warning(kv(
-                "batch_client_gone", streamed=ok_count + failed,
-                items=len(tasks),
+                "reject_overloaded", key=job.key[:12], queued=queued,
+                running=running, max_queue=self.config.max_queue,
             ))
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-        except Exception as exc:  # noqa: BLE001 - keep the stream typed
-            logger.exception(kv("batch_error", error=type(exc).__name__))
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            try:
-                writer.write(http.ndjson_line({
-                    "done": True, "items": len(tasks),
-                    "ok_count": ok_count, "failed": failed,
-                    "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }))
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                pass
-        logger.info(kv(
-            "batch_done", items=len(tasks), ok=ok_count, failed=failed,
-        ))
-        return 200
-
-    @staticmethod
-    async def _write_plain(writer, response: http.Response) -> int:
-        """Write a non-streaming response on the batch route."""
-        try:
-            writer.write(response.encode())
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        return response.status
+            return None, False
+        entry = _InFlight(job.key, asyncio.get_running_loop().create_future())
+        self._inflight[job.key] = entry
+        entry.task = asyncio.ensure_future(self._execute(entry, job))
+        return entry, False
 
     async def _execute(self, entry: _InFlight, job: Job) -> None:
         """Run one unique job through the executor; settle the future."""
@@ -640,22 +422,10 @@ class CompileServer:
                     payload, records = await self._run_in_executor(entry, job)
                 finally:
                     self._m_in_flight.dec()
-                self._m_runs.inc(kind=job.kind)
-                if job.kind == "tune":
-                    stats = payload.get("stats", {})
-                    for outcome in ("evaluated", "pruned", "deduped",
-                                    "infeasible"):
-                        count = int(stats.get(outcome, 0))
-                        if count:
-                            self._m_tune_candidates.inc(
-                                count, outcome=outcome
-                            )
-                    hits = int(stats.get("fitness_cache_hits", 0))
-                    if hits:
-                        self._m_tune_cache_hits.inc(hits)
+                self._m_runs.inc(kind="evaluate")
                 self.manifest.add_records(records)
                 logger.info(kv(
-                    "job_done", kind=job.kind, source=job.source,
+                    "job_done", source=job.source,
                     key=job.key[:12], seconds=time.perf_counter() - started,
                     stage_runs=len(records),
                     cache_hits=sum(1 for r in records if r.cache_hit),
@@ -663,10 +433,10 @@ class CompileServer:
                 if not entry.future.done():
                     entry.future.set_result((payload, records))
         except PipelineCancelled as exc:
-            self._m_cancelled.inc(kind=job.kind)
+            self._m_cancelled.inc(kind="evaluate")
             self.manifest.add_records(exc.report.records)
             logger.info(kv(
-                "job_cancelled", kind=job.kind, key=job.key[:12],
+                "job_cancelled", key=job.key[:12],
                 before_stage=exc.stage,
             ))
             if not entry.future.done():
@@ -674,12 +444,12 @@ class CompileServer:
         except asyncio.CancelledError:
             if queued:
                 self._m_queue_depth.dec()
-            self._m_cancelled.inc(kind=job.kind)
+            self._m_cancelled.inc(kind="evaluate")
             if not entry.future.done():
                 entry.future.cancel()
         except Exception as exc:  # noqa: BLE001 - runner bug
             logger.exception(kv(
-                "job_error", kind=job.kind, key=job.key[:12],
+                "job_error", key=job.key[:12],
                 error=type(exc).__name__,
             ))
             if not entry.future.done():
@@ -742,7 +512,7 @@ class CompileServer:
                 ):
                     raise WorkerCrashError(1, attempt)
                 logger.warning(kv(
-                    "worker_retry", key=job.key[:12], kind=job.kind,
+                    "worker_retry", key=job.key[:12],
                     attempt=attempt,
                 ))
                 self._rebuild_executor(generation)
@@ -751,12 +521,11 @@ class CompileServer:
         """A worker pool whose processes never inherit connection fds.
 
         Plain ``fork`` taken mid-request would duplicate every open
-        client socket into the long-lived workers; a close-delimited
-        stream (``/v1/batch``) then never reaches EOF on the client
-        because a worker still holds the fd after the server closes its
-        copy.  Forking from a forkserver (itself spawned fd-clean via
-        exec) breaks that inheritance for the initial pool and for
-        every crash rebuild.
+        client socket into the long-lived workers; a client that reads
+        its reply until EOF then blocks, because a worker still holds
+        the fd after the server closes its copy.  Forking from a forkserver (itself spawned
+        fd-clean via exec) breaks that inheritance for the initial pool
+        and for every crash rebuild.
         """
         return ProcessPoolExecutor(
             max_workers=max(1, self.config.jobs),

@@ -12,8 +12,8 @@ bound, and each candidate's bounds and fitness are memoised as two
 small sidecar entries in the artifact cache — so wall-clock scales
 with the frontier, not the grid, and a warm search maps nothing.
 
-Entry points: :func:`tune_benchmark` (library), ``romfsm tune`` (CLI),
-``POST /v1/tune`` (service).  The result is a replayable frontier
+Entry points: :func:`tune_benchmark` (library) and ``romfsm tune``
+(CLI).  The result is a replayable frontier
 artifact: any stored point re-maps and re-scores to bit-identical
 objectives (:func:`replay_point`).
 """

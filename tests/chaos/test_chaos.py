@@ -189,11 +189,7 @@ class TestServiceChaos:
         assert status == 504
         assert reply["error"] == "timeout"
 
-
-class TestBatchChaos:
-    """ISSUE 7: /v1/batch under worker kills and stalled items."""
-
-    def test_worker_kill_mid_batch_completes_bit_identical(
+    def test_worker_kill_under_concurrent_evaluates_bit_identical(
         self, record_plan
     ):
         benchmarks = ["dk14", "donfile"]
@@ -203,7 +199,7 @@ class TestBatchChaos:
             for name in benchmarks
         }
 
-        # Every item's first pool attempt dies; the server rebuilds the
+        # Every job's first pool attempt dies; the server rebuilds the
         # broken ProcessPoolExecutor and the retry round completes.
         plan = record_plan(FaultPlan(
             [FaultRule(point="service.worker", kind="kill",
@@ -222,21 +218,20 @@ class TestBatchChaos:
                     client = ServiceClient(
                         port=server.port, timeout_s=150.0, retries=0,
                     )
-                    items = [
-                        {"benchmark": name, "num_cycles": 150,
-                         "frequencies_mhz": [100.0], "seed": 11}
+                    replies = await asyncio.gather(*(
+                        loop.run_in_executor(
+                            None,
+                            lambda name=name: client.evaluate(
+                                benchmark=name, **SMALL),
+                        )
                         for name in benchmarks
-                    ]
-                    results = await loop.run_in_executor(
-                        None, lambda: client.batch(items)
-                    )
-                    crashes = server.metrics.render()
-                    return results, crashes
+                    ))
+                    return replies, server.metrics.render()
 
-        results, metrics = run_async(body(), timeout=300.0)
-        assert all(r["ok"] for r in results)
-        for index, name in enumerate(benchmarks):
-            got = json.dumps(results[index]["result"], sort_keys=True)
+        replies, metrics = run_async(body(), timeout=300.0)
+        for name, reply in zip(benchmarks, replies):
+            assert reply["ok"] is True
+            got = json.dumps(reply["result"], sort_keys=True)
             want = json.dumps(expected[name], sort_keys=True)
             assert got == want, f"{name} diverged after worker kill"
         # Not vacuous: the pool really broke and was really rebuilt.
@@ -246,11 +241,11 @@ class TestBatchChaos:
         ]
         assert crash_lines and float(crash_lines[0].split()[-1]) >= 1
 
-    def test_stalled_batch_item_times_out_typed_not_hanging(
+    def test_stalled_evaluate_times_out_typed_beside_a_healthy_one(
         self, record_plan
     ):
-        # Only donfile stalls; dk14 must stream through unharmed and
-        # the campaign must end with a done line, never a hang.
+        # Only donfile stalls; the concurrent dk14 request must answer
+        # unharmed and donfile with a typed timeout, never a hang.
         plan = record_plan(FaultPlan(
             [FaultRule(point="service.job", kind="stall", delay_s=3.0,
                        match={"source": "donfile"})]
@@ -263,23 +258,18 @@ class TestBatchChaos:
             )
             async with serving(config) as server:
                 with faults.injected(plan, export_env=False):
-                    return await http_request(
-                        server.port, "POST", "/v1/batch",
-                        body={"items": [
-                            {"benchmark": "dk14", "num_cycles": 50,
-                             "frequencies_mhz": [100.0]},
-                            {"benchmark": "donfile", "num_cycles": 50,
-                             "frequencies_mhz": [100.0]},
-                        ]},
-                    )
+                    return await asyncio.gather(*(
+                        http_request(
+                            server.port, "POST", "/v1/evaluate",
+                            body={"benchmark": name, "num_cycles": 50,
+                                  "frequencies_mhz": [100.0]},
+                        )
+                        for name in ("dk14", "donfile")
+                    ))
 
-        status, text = run_async(body(), timeout=60.0)
-        assert status == 200
-        lines = [json.loads(l) for l in text.splitlines() if l.strip()]
-        done = lines[-1]
-        assert done["done"] is True
-        assert done["ok_count"] == 1 and done["failed"] == 1
-        by_index = {l["item"]: l for l in lines if "item" in l}
-        assert by_index[0]["ok"] is True
-        assert by_index[1]["ok"] is False
-        assert by_index[1]["error"] == "timeout"
+        (dk14_status, dk14), (donfile_status, donfile) = run_async(
+            body(), timeout=60.0)
+        assert dk14_status == 200
+        assert dk14["ok"] is True
+        assert donfile_status == 504
+        assert donfile["error"] == "timeout"

@@ -10,6 +10,8 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.pipeline.pipeline import PipelineCancelled, PipelineReport
 from repro.service.server import ServerConfig, CompileServer
 
@@ -65,6 +67,19 @@ class TestRouting:
                 assert reply["error"] == "not_found"
         run_async(body())
 
+    @pytest.mark.parametrize("route", ["map", "eco", "tune", "batch"])
+    def test_only_evaluate_job_route_exists(self, route):
+        # The service serves one job kind; other job paths are unknown.
+        async def body():
+            async with serving(_config()) as server:
+                status, reply = await http_request(
+                    server.port, "POST", f"/v1/{route}",
+                    body={"benchmark": "dk14"},
+                )
+                assert status == 404
+                assert reply["error"] == "not_found"
+        run_async(body())
+
     def test_wrong_method_405(self):
         async def body():
             async with serving(_config()) as server:
@@ -108,6 +123,26 @@ class TestValidation:
                 )
                 assert status == 400
                 assert reply["error"] == "unknown_benchmark"
+        run_async(body())
+
+    def test_body_kind_must_be_evaluate(self):
+        runner = CountingRunner()
+
+        async def body():
+            async with serving(_config(), runner=runner) as server:
+                status, reply = await http_request(
+                    server.port, "POST", "/v1/evaluate",
+                    body={"benchmark": "dk14", "kind": "map"},
+                )
+                assert status == 400
+                assert reply["error"] == "invalid"
+                status, reply = await http_request(
+                    server.port, "POST", "/v1/evaluate",
+                    body={"benchmark": "dk14", "kind": "evaluate"},
+                )
+                assert status == 200
+                assert reply["kind"] == "evaluate"
+                assert runner.calls == 1
         run_async(body())
 
     def test_unparseable_kiss_400(self):

@@ -122,7 +122,7 @@ class TestColdCacheCoalescing:
 
 
 class TestClientRoundTrip:
-    def test_sync_client_evaluate_and_map(self, tmp_path):
+    def test_sync_client_evaluate(self, tmp_path):
         async def body():
             async with serving(_config(tmp_path)) as server:
                 loop = asyncio.get_running_loop()
@@ -142,16 +142,10 @@ class TestClientRoundTrip:
                 assert reply["result"]["name"] == "det"
                 assert "100" in reply["result"]["power_mw"]
 
-                mapped = await loop.run_in_executor(
-                    None, lambda: client.map(benchmark="dk14"),
-                )
-                assert mapped["result"]["bram_config"] == "512x36"
-
                 metrics = await loop.run_in_executor(
                     None, client.metrics_text
                 )
                 assert 'romfsm_pipeline_runs_total{kind="evaluate"} 1' in metrics
-                assert 'romfsm_pipeline_runs_total{kind="map"} 1' in metrics
                 assert 'romfsm_stage_runs_total{stage="parse"} 1' in metrics
         run_async(body(), timeout=120.0)
 
