@@ -281,7 +281,6 @@ def eco_evaluate(
     device: Optional[Device] = None,
     params: PowerParams = VIRTEX2_PARAMS,
     verify: bool = True,
-    should_cancel=None,
 ) -> Tuple[EcoResult, PipelineReport]:
     """Absorb a ROM-only edit to ``old`` and re-evaluate incrementally.
 
@@ -318,9 +317,7 @@ def eco_evaluate(
         params=params,
         verify=verify,
     )
-    outcome = build_eco_pipeline().run(
-        config, cache=resolve_cache(cache), should_cancel=should_cancel
-    )
+    outcome = build_eco_pipeline().run(config, cache=resolve_cache(cache))
 
     records = {record.stage: record for record in outcome.report.records}
     rom_fp = records["rom-map"].fingerprint

@@ -20,10 +20,14 @@ entries are treated as misses (and removed only when the on-disk file
 is provably the one that failed to decode — see the inode guard in
 :meth:`get`), I/O
 errors on reads and writes are absorbed and counted, and after
-``degrade_threshold`` consecutive I/O errors the cache *degrades* to a
-process-local in-memory store so a sick disk cannot take the pipeline
-down with it.  Degradation is logged, visible in :meth:`describe`
-(``romfsm cache stats``) and in the service's ``/metrics``.
+``degrade_threshold`` consecutive I/O errors the cache *degrades to
+off*: every later lookup is a miss and every later store a no-op, so a
+sick disk cannot take the pipeline down with it.  The pipeline holds
+each stage value in memory for the length of a run, so an off cache
+costs recomputation across runs, never a wrong or missing result.
+Degradation is logged, visible in :meth:`describe` (``romfsm cache
+stats``) and in the service's ``/metrics``; :meth:`clear` switches the
+cache back on.
 
 Both I/O paths carry :mod:`repro.faults` failure points (``cache.get``,
 ``cache.put``) so the chaos suite can prove all of the above.
@@ -34,9 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
@@ -48,8 +50,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "DEGRADE_THRESHOLD",
-    "MEMORY_MAX_BYTES",
-    "MEMORY_MAX_ENTRIES",
     "ArtifactCache",
     "CacheStats",
     "resolve_cache",
@@ -58,27 +58,10 @@ __all__ = [
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "romfsm"
 
-# Consecutive I/O errors before the cache falls back to memory.
+# Consecutive I/O errors before the cache switches itself off.
 DEGRADE_THRESHOLD = 3
 
-# Budgets for the degraded-mode in-memory store.  A long-running service
-# on a sick disk must not grow without bound: the fallback is an LRU
-# with both an entry and a byte ceiling.
-MEMORY_MAX_ENTRIES = 1024
-MEMORY_MAX_BYTES = 64 * 1024 * 1024
-
 _PICKLE_PROTOCOL = 4
-
-# Validated-probe memo budget: __contains__ remembers the stat identity
-# of entries whose envelope it has already checksummed, so hot
-# coalescing paths pay one stat per probe instead of re-reading
-# multi-MiB entries.
-_PROBE_MEMO_MAX = 4096
-# Racily-valid guard (same idea as git's racily-clean index check): a
-# file rewritten in place within the same coarse-clock tick as the
-# validated write keeps its (inode, mtime_ns, size) identity, so only
-# entries whose mtime is safely in the past are memoized at all.
-_PROBE_MEMO_MIN_AGE_NS = 2_000_000_000
 
 # Entry envelope: magic + 4-byte big-endian CRC32, then the pickle.
 _ENTRY_MAGIC = b"RFC1"
@@ -96,8 +79,6 @@ class CacheStats:
     stores: int = 0
     errors: int = 0        # corrupt entries dropped
     io_errors: int = 0     # OSError on a read or write
-    probes: int = 0        # __contains__ lookups
-    evictions: int = 0     # degraded-mode LRU entries dropped over budget
 
     @property
     def lookups(self) -> int:
@@ -114,8 +95,6 @@ class CacheStats:
             "stores": self.stores,
             "errors": self.errors,
             "io_errors": self.io_errors,
-            "probes": self.probes,
-            "evictions": self.evictions,
         }
 
 
@@ -126,101 +105,17 @@ class ArtifactCache:
         self,
         root: Union[str, Path],
         degrade_threshold: int = DEGRADE_THRESHOLD,
-        memory_max_entries: int = MEMORY_MAX_ENTRIES,
-        memory_max_bytes: int = MEMORY_MAX_BYTES,
     ):
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
+        self._objects = str(self.objects_dir)
         self.stats = CacheStats()
         self.degraded = False
         self._degrade_threshold = max(1, degrade_threshold)
         self._io_error_streak = 0
-        # Degraded-mode LRU: key -> (fingerprint, value, approx bytes),
-        # most-recently-used last.  Bounded by both budgets below.
-        self._memory: "OrderedDict[str, Tuple[str, Any, int]]" = OrderedDict()
-        self._memory_bytes = 0
-        self._memory_max_entries = max(1, memory_max_entries)
-        self._memory_max_bytes = max(1, memory_max_bytes)
-        # key -> (st_ino, st_dev, st_mtime_ns, st_size) of the entry
-        # file whose envelope last verified; see __contains__.
-        self._validated: "OrderedDict[str, Tuple[int, int, int, int]]" = \
-            OrderedDict()
 
-    def _path(self, key: str) -> Path:
-        return self.objects_dir / key[:2] / f"{key}.pkl"
-
-    # -- validated-probe memo -------------------------------------------
-
-    def _note_valid(self, key: str, st) -> None:
-        if st is None:
-            return
-        if time.time_ns() - st.st_mtime_ns < _PROBE_MEMO_MIN_AGE_NS:
-            return  # too fresh to trust stat identity; revalidate later
-        self._validated[key] = (
-            st.st_ino, st.st_dev, st.st_mtime_ns, st.st_size
-        )
-        self._validated.move_to_end(key)
-        while len(self._validated) > _PROBE_MEMO_MAX:
-            self._validated.popitem(last=False)
-
-    def _forget_valid(self, key: str) -> None:
-        self._validated.pop(key, None)
-
-    # -- degraded-mode memory store -------------------------------------
-
-    @property
-    def memory_entries(self) -> int:
-        """Entries currently held by the degraded-mode memory store."""
-        return len(self._memory)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate bytes held by the degraded-mode memory store."""
-        return self._memory_bytes
-
-    def _memory_get(self, key: str) -> Optional[Tuple[str, Any]]:
-        entry = self._memory.get(key)
-        if entry is None:
-            return None
-        self._memory.move_to_end(key)
-        return entry[0], entry[1]
-
-    def _memory_put(self, key: str, fingerprint: str, value: Any) -> None:
-        """LRU-insert under the entry/byte budgets; evictions counted.
-
-        Sizing uses the pickled payload length — the same bytes a disk
-        entry would cost — so the byte ceiling means what it says even
-        for values holding large simulation words.
-        """
-        try:
-            size = len(pickle.dumps((fingerprint, value),
-                                    protocol=_PICKLE_PROTOCOL))
-        except Exception:
-            size = 1024  # unpicklable values still occupy a slot
-        old = self._memory.pop(key, None)
-        if old is not None:
-            self._memory_bytes -= old[2]
-        self._memory[key] = (fingerprint, value, size)
-        self._memory_bytes += size
-        while self._memory and (
-            len(self._memory) > self._memory_max_entries
-            or self._memory_bytes > self._memory_max_bytes
-        ):
-            if len(self._memory) == 1 and size > self._memory_max_bytes:
-                # A single over-budget entry is still worth keeping:
-                # evicting it would make the store useless for exactly
-                # the value that was just requested.
-                break
-            _evicted_key, (_fp, _value, evicted_size) = \
-                self._memory.popitem(last=False)
-            self._memory_bytes -= evicted_size
-            self.stats.evictions += 1
-
-    def _memory_clear(self) -> int:
-        count = len(self._memory)
-        self._memory.clear()
-        self._memory_bytes = 0
-        return count
+    def _path(self, key: str) -> str:
+        return f"{self._objects}/{key[:2]}/{key}.pkl"
 
     # -- degradation ----------------------------------------------------
 
@@ -264,19 +159,7 @@ class ArtifactCache:
             raise ValueError("cache-entry checksum mismatch")
         return pickle.loads(payload)
 
-    @staticmethod
-    def verify_envelope(data: bytes) -> bool:
-        """Envelope integrity (magic + CRC32) without deserializing.
-
-        This is how ``__contains__`` validates entries it does not need
-        to unpickle.
-        """
-        if len(data) < _HEADER_LEN or data[:len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
-            return False
-        expected = int.from_bytes(data[len(_ENTRY_MAGIC):_HEADER_LEN], "big")
-        return zlib.crc32(data[_HEADER_LEN:]) & 0xFFFFFFFF == expected
-
-    def _drop_corrupt(self, path: Path, read_stat) -> None:
+    def _drop_corrupt(self, path: str, read_stat) -> None:
         """Unlink a corrupt entry — only if it is provably the file we
         read.  A concurrent writer (a pool worker, or another process
         sharing the cache directory) may have replaced it with a fresh
@@ -287,7 +170,7 @@ class ArtifactCache:
             if read_stat is not None and (
                 current.st_ino, current.st_dev
             ) == (read_stat.st_ino, read_stat.st_dev):
-                path.unlink()
+                os.unlink(path)
         except OSError:
             pass
 
@@ -296,17 +179,13 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Tuple[str, Any]]:
         """Return ``(fingerprint, value)`` for ``key``, or ``None``."""
         if self.degraded:
-            entry = self._memory_get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return entry
+            self.stats.misses += 1
+            return None
         path = self._path(key)
         read_stat = None
         try:
             action = faults.hit("cache.get", key=key)
-            with path.open("rb") as fh:
+            with open(path, "rb") as fh:
                 read_stat = os.fstat(fh.fileno())
                 data = fh.read()
             if action is not None:
@@ -329,28 +208,25 @@ class ArtifactCache:
             # treat as a miss.
             self.stats.errors += 1
             self.stats.misses += 1
-            self._forget_valid(key)
             self._drop_corrupt(path, read_stat)
             return None
         self.stats.hits += 1
         self._io_success()
-        self._note_valid(key, read_stat)
         return fingerprint, value
 
     def put(self, key: str, fingerprint: str, value: Any) -> None:
         """Store an entry.  Storage failure degrades; it never raises."""
         if self.degraded:
-            self._memory_put(key, fingerprint, value)
-            self.stats.stores += 1
             return
         payload = self._encode(fingerprint, value)
         path = self._path(key)
         tmp_name = None
         try:
             faults.hit("cache.put", key=key)
-            path.parent.mkdir(parents=True, exist_ok=True)
+            shard = os.path.dirname(path)
+            os.makedirs(shard, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=".tmp-", suffix=".pkl"
+                dir=shard, prefix=".tmp-", suffix=".pkl"
             )
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
@@ -362,9 +238,6 @@ class ArtifactCache:
                 except OSError:
                     pass
             self._io_failure("put", exc)
-            if self.degraded:
-                self._memory_put(key, fingerprint, value)
-                self.stats.stores += 1
             return
         except BaseException:
             if tmp_name is not None:
@@ -375,57 +248,6 @@ class ArtifactCache:
             raise
         self.stats.stores += 1
         self._io_success()
-
-    def __contains__(self, key: str) -> bool:
-        """Whether a *valid* entry exists for ``key``.
-
-        A bare ``.exists()`` would report a key present even when the
-        entry envelope is corrupt and the subsequent :meth:`get` will
-        miss — a phantom hit that anything coalescing on presence would
-        then trust.  The probe therefore validates the envelope checksum
-        (without deserializing); a corrupt entry counts as an error, is
-        dropped under the same inode guard :meth:`get` uses, and the
-        probe answers ``False``.
-
-        Re-reading a multi-MiB entry on *every* probe would tax hot
-        coalescing paths, so entries that already verified — here or in
-        a successful :meth:`get` — are remembered by stat identity
-        (inode, device, mtime_ns, size): while the identity is
-        unchanged the probe costs one ``stat``.  Every real writer goes
-        through atomic rename and changes that identity; an in-place
-        rewrite bumps mtime_ns, and the one blind spot — a same-tick
-        same-size in-place rewrite — is closed by the racily-valid age
-        guard in :meth:`_note_valid`.
-        """
-        self.stats.probes += 1
-        if self.degraded:
-            return key in self._memory
-        path = self._path(key)
-        memo = self._validated.get(key)
-        if memo is not None:
-            try:
-                st = os.stat(path)
-            except OSError:
-                self._forget_valid(key)
-                return False
-            if (st.st_ino, st.st_dev, st.st_mtime_ns, st.st_size) == memo:
-                self._validated.move_to_end(key)
-                return True
-        read_stat = None
-        try:
-            with path.open("rb") as fh:
-                read_stat = os.fstat(fh.fileno())
-                data = fh.read()
-        except OSError:
-            self._forget_valid(key)
-            return False
-        if self.verify_envelope(data):
-            self._note_valid(key, read_stat)
-            return True
-        self.stats.errors += 1
-        self._forget_valid(key)
-        self._drop_corrupt(path, read_stat)
-        return False
 
     # -- maintenance ---------------------------------------------------
 
@@ -450,10 +272,7 @@ class ArtifactCache:
 
     @property
     def entry_count(self) -> int:
-        count = sum(1 for _ in self._entries())
-        if self.degraded:
-            count += len(self._memory)
-        return count
+        return sum(1 for _ in self._entries())
 
     @property
     def size_bytes(self) -> int:
@@ -494,8 +313,6 @@ class ArtifactCache:
                 shard.rmdir()
             except OSError:
                 pass
-        removed += self._memory_clear()
-        self._validated.clear()
         self.degraded = False
         self._io_error_streak = 0
         return removed
@@ -506,8 +323,6 @@ class ArtifactCache:
             "entries": self.entry_count,
             "size_bytes": self.size_bytes,
             "degraded": self.degraded,
-            "memory_entries": self.memory_entries,
-            "memory_bytes": self.memory_bytes,
             "session": self.stats.as_dict(),
         }
 
@@ -517,12 +332,10 @@ class ArtifactCache:
 
 def resolve_cache(
     cache_dir: Union[None, bool, str, Path, ArtifactCache] = None,
-    no_cache: bool = False,
 ) -> Optional[ArtifactCache]:
     """Resolve the cache to use for a run.
 
-    Priority: ``no_cache`` (or ``cache_dir=False``) disables caching
-    outright; an explicit ``cache_dir`` (path or ready
+    Priority: ``cache_dir=False`` disables caching outright; an explicit ``cache_dir`` (path or ready
     :class:`ArtifactCache`) wins next; then the ``REPRO_CACHE_DIR``
     environment variable; otherwise caching is off and the pipeline
     computes everything in memory.
@@ -540,7 +353,7 @@ def resolve_cache(
     on a shared mount).  Atomic writes and the CRC envelope make
     concurrent readers and writers safe without any coordination.
     """
-    if no_cache or cache_dir is False:
+    if cache_dir is False:
         return None
     if isinstance(cache_dir, ArtifactCache):
         return cache_dir

@@ -43,7 +43,10 @@ __all__ = ["RunManifest", "WorkerCrashError", "run_sharded"]
 logger = get_logger("pipeline.driver")
 
 DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.25
+# Retry-round backoff: _BACKOFF_S * 2**attempt, jittered by a seeded RNG
+# so a rerun sleeps the same way.
+_BACKOFF_S = 0.25
+_RETRY_SEED = 0
 
 
 class WorkerCrashError(RuntimeError):
@@ -94,8 +97,6 @@ def run_sharded(
     items: Sequence[Any],
     jobs: int = 1,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    retry_seed: int = 0,
     mp_context: Optional[str] = None,
 ) -> List[Any]:
     """Map ``func`` over ``items`` with ``jobs`` worker processes.
@@ -103,7 +104,7 @@ def run_sharded(
     ``func`` must be a module-level callable and every item/result must
     be picklable.  Results come back in input order.  Shards lost to a
     crashed worker are retried (``max_retries`` rounds, jittered
-    exponential backoff seeded by ``retry_seed``); when retries run out
+    exponential backoff); when retries run out
     a :class:`WorkerCrashError` is raised.  ``mp_context`` selects the
     multiprocessing start method (e.g. ``"forkserver"``, the service's
     choice — workers never inherit a dirty heap); ``None`` keeps the
@@ -116,7 +117,6 @@ def run_sharded(
     else:
         results = _run_pool(
             func, items, jobs=jobs, max_retries=max_retries,
-            backoff_s=backoff_s, retry_seed=retry_seed,
             mp_context=mp_context,
         )
     logger.info(kv(
@@ -131,13 +131,11 @@ def _run_pool(
     items: Sequence[Any],
     jobs: int,
     max_retries: int,
-    backoff_s: float,
-    retry_seed: int,
     mp_context: Optional[str] = None,
 ) -> List[Any]:
     results: List[Any] = [None] * len(items)
     pending = list(range(len(items)))
-    rng = random.Random(retry_seed)
+    rng = random.Random(_RETRY_SEED)
     attempt = 0
     context = multiprocessing.get_context(mp_context) if mp_context else None
     plan = faults.active_plan()
@@ -172,7 +170,7 @@ def _run_pool(
                 attempts=attempt + 1,
             ))
             raise WorkerCrashError(failed=len(crashed), attempts=attempt + 1)
-        delay = backoff_s * (2 ** attempt) * (0.5 + rng.random())
+        delay = _BACKOFF_S * (2 ** attempt) * (0.5 + rng.random())
         logger.warning(kv(
             "shard_retry", crashed=len(crashed), attempt=attempt + 1,
             max_retries=max_retries, delay_s=round(delay, 3),

@@ -592,7 +592,7 @@ class CompileServer:
             # executor; process-pool workers hold their own instances).
             lines.append(
                 "# HELP romfsm_cache_degraded Whether the artifact cache "
-                "fell back to its in-memory store after repeated I/O errors.")
+                "stopped using the disk after repeated I/O errors.")
             lines.append("# TYPE romfsm_cache_degraded gauge")
             lines.append(f"romfsm_cache_degraded {int(self._cache.degraded)}")
             lines.append(
@@ -601,21 +601,6 @@ class CompileServer:
             lines.append("# TYPE romfsm_cache_io_errors_total counter")
             lines.append(
                 f"romfsm_cache_io_errors_total {self._cache.stats.io_errors}"
-            )
-            lines.append(
-                "# HELP romfsm_cache_memory_entries Entries held by the "
-                "degraded-mode in-memory LRU store.")
-            lines.append("# TYPE romfsm_cache_memory_entries gauge")
-            lines.append(
-                f"romfsm_cache_memory_entries {self._cache.memory_entries}"
-            )
-            lines.append(
-                "# HELP romfsm_cache_memory_evictions_total Degraded-mode "
-                "LRU entries evicted over the entry/byte budgets.")
-            lines.append("# TYPE romfsm_cache_memory_evictions_total counter")
-            lines.append(
-                f"romfsm_cache_memory_evictions_total "
-                f"{self._cache.stats.evictions}"
             )
         return self.metrics.render(extra_lines=lines)
 

@@ -85,7 +85,11 @@ class TestCacheFaultStorm:
         with faults.injected(plan, export_env=False):
             got = payload_of(evaluate_benchmark("dk14", cache=cache, **SMALL))
         assert got == baseline
-        assert cache.degraded  # every write failed; memory took over
+        # Every write failed, so the cache switched itself off: nothing
+        # reached the disk and no lookup was served from it.
+        assert cache.degraded
+        assert cache.entry_count == 0
+        assert cache.stats.hits == 0
 
 
 class TestPipelineFaults:

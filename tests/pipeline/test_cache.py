@@ -1,7 +1,6 @@
 """Unit tests for the content-addressed artifact cache."""
 
-import os
-import time
+from pathlib import Path
 
 from repro.pipeline.cache import (
     CACHE_DIR_ENV,
@@ -18,8 +17,7 @@ class TestRoundTrip:
         cache = ArtifactCache(tmp_path)
         cache.put(KEY, "fp1", {"value": [1, 2, 3]})
         assert cache.get(KEY) == ("fp1", {"value": [1, 2, 3]})
-        assert KEY in cache
-        assert OTHER not in cache
+        assert cache.get(OTHER) is None
 
     def test_get_missing_is_none(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -47,7 +45,7 @@ class TestCorruption:
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put(KEY, "fp", [1, 2])
-        path = cache._path(KEY)
+        path = Path(cache._path(KEY))
         path.write_bytes(b"not a pickle")
         assert cache.get(KEY) is None
         assert cache.stats.errors == 1
@@ -55,79 +53,6 @@ class TestCorruption:
         # A later put repopulates the slot.
         cache.put(KEY, "fp", [1, 2])
         assert cache.get(KEY) == ("fp", [1, 2])
-
-
-class TestProbeMemo:
-    """Review regression: __contains__ must not re-read multi-MiB
-    entries on every probe; a validated entry is remembered by stat
-    identity and re-probed with a single stat."""
-
-    @staticmethod
-    def _age(path):
-        # Backdate past the racily-valid guard so the memo may engage.
-        old = time.time() - 10.0
-        os.utime(path, (old, old))
-
-    def test_second_probe_skips_the_full_read(self, tmp_path, monkeypatch):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", {"payload": bytes(4096)})
-        self._age(cache._path(KEY))
-        assert KEY in cache  # validates and memoizes
-        reads = []
-        monkeypatch.setattr(
-            ArtifactCache, "verify_envelope",
-            staticmethod(lambda data: reads.append(1) or True),
-        )
-        assert KEY in cache
-        assert reads == [], "memoized probe still re-read the entry"
-
-    def test_fresh_entries_are_not_memoized(self, tmp_path):
-        # Within the racy window the stat identity cannot be trusted:
-        # a same-size in-place rewrite in the same coarse-clock tick
-        # would keep (inode, mtime_ns, size) unchanged.
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        assert KEY in cache
-        assert KEY not in cache._validated
-
-    def test_replaced_entry_is_revalidated(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", {"payload": bytes(256)})
-        path = cache._path(KEY)
-        self._age(path)
-        assert KEY in cache
-        assert KEY in cache._validated
-        # Corrupt the entry in place (size and mtime change).
-        path.write_bytes(b"garbage now")
-        assert KEY not in cache
-        assert cache.stats.errors == 1
-        assert not path.exists()
-
-    def test_unlinked_entry_forgets_its_memo(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        path = cache._path(KEY)
-        self._age(path)
-        assert KEY in cache
-        path.unlink()
-        assert KEY not in cache
-        assert KEY not in cache._validated
-
-    def test_get_populates_the_memo_too(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        self._age(cache._path(KEY))
-        assert cache.get(KEY) == ("fp", 1)
-        assert KEY in cache._validated
-
-    def test_clear_resets_the_memo(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        self._age(cache._path(KEY))
-        assert KEY in cache
-        cache.clear()
-        assert cache._validated == {}
-        assert KEY not in cache
 
 
 class TestMaintenance:
@@ -156,9 +81,11 @@ class TestResolveCache:
         assert resolve_cache() is None
 
     def test_no_cache_wins(self, tmp_path, monkeypatch):
+        # ``--no-cache`` reaches the library as ``cache_dir=False``; the
+        # environment variable that ``None`` would pick up is ignored.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        assert resolve_cache(no_cache=True) is None
-        assert resolve_cache(tmp_path, no_cache=True) is None
+        assert resolve_cache(False) is None
+        assert resolve_cache(None) is not None
 
     def test_false_disables_despite_environment(self, tmp_path, monkeypatch):
         # False is the re-resolvable "caching off" marker: it must not
@@ -208,5 +135,7 @@ class TestResolveCacheTrue:
         assert cache.root == DEFAULT_CACHE_DIR
 
     def test_no_cache_beats_true(self, monkeypatch):
+        # False is "definitely off" exactly as True is "definitely on".
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert resolve_cache(True, no_cache=True) is None
+        assert resolve_cache(True) is not None
+        assert resolve_cache(False) is None

@@ -3,6 +3,7 @@ I/O-error degradation, and maintenance hygiene."""
 
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -55,13 +56,6 @@ class TestConcurrentUnlinkTolerance:
         shutil.rmtree(cache.objects_dir / KEY[:2])
         assert cache.entry_count == 0
 
-    def test_contains_counts_probes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "a", 1)
-        assert KEY in cache
-        assert OTHER not in cache
-        assert cache.stats.probes == 2
-
 
 class TestClearHygiene:
     def test_clear_removes_tmp_orphans_and_empty_shards(self, tmp_path):
@@ -85,12 +79,12 @@ class TestClearHygiene:
         with faults.injected(plan, export_env=False):
             cache.put(KEY, "a", 1)
         assert cache.degraded
-        assert cache.get(KEY) == ("a", 1)  # served from memory fallback
+        assert cache.get(KEY) is None  # an off cache only misses
         removed = cache.clear()
-        assert removed == 1
+        assert removed == 0
         assert not cache.degraded
         cache.put(KEY, "a", 2)
-        assert cache._path(KEY).exists()  # back on disk
+        assert Path(cache._path(KEY)).exists()  # back on disk
 
 
 class TestCorruptEntryRace:
@@ -101,7 +95,7 @@ class TestCorruptEntryRace:
         replaces the file before the unlink — the *new* entry must
         survive the corrupt-path cleanup."""
         cache = ArtifactCache(tmp_path)
-        path = cache._path(KEY)
+        path = Path(cache._path(KEY))
         path.parent.mkdir(parents=True)
         path.write_bytes(b"torn write from a crashed worker")
 
@@ -125,7 +119,7 @@ class TestCorruptEntryRace:
     def test_corrupt_entry_without_race_is_still_removed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put(KEY, "fp", [1, 2])
-        path = cache._path(KEY)
+        path = Path(cache._path(KEY))
         path.write_bytes(b"not a pickle")
         assert cache.get(KEY) is None
         assert cache.stats.errors == 1
@@ -158,7 +152,7 @@ class TestCorruptEntryRace:
 
 
 class TestDegradation:
-    def test_repeated_io_errors_degrade_to_memory(self, tmp_path):
+    def test_repeated_io_errors_switch_the_cache_off(self, tmp_path):
         cache = ArtifactCache(tmp_path, degrade_threshold=3)
         plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
                                     max_fires=3)])
@@ -168,11 +162,16 @@ class TestDegradation:
         assert cache.degraded
         assert cache.stats.io_errors == 3
 
-        # Degraded mode still caches — in memory.
-        cache.put(KEY, "fp", "value")
-        assert cache.get(KEY) == ("fp", "value")
-        assert KEY in cache
-        assert not cache._path(KEY).exists()
+        # An off cache stores nothing and never reads the disk: the
+        # cache.get rule below would fire on any read attempt.
+        reads = FaultPlan([FaultRule(point="cache.get", kind="oserror")])
+        stores = cache.stats.stores
+        with faults.injected(reads, export_env=False):
+            cache.put(KEY, "fp", "value")
+            assert cache.get(KEY) is None
+        assert reads.total_fires == 0
+        assert cache.stats.stores == stores
+        assert not Path(cache._path(KEY)).exists()
         assert cache.describe()["degraded"] is True
 
     def test_single_error_recovers_without_degrading(self, tmp_path):
@@ -204,124 +203,7 @@ class TestDegradation:
         cache = ArtifactCache(blocker / "cache", degrade_threshold=1)
         cache.put(KEY, "fp", 1)  # must not raise
         assert cache.degraded
-        assert cache.get(KEY) == ("fp", 1)
-
-
-class TestDegradedMemoryBudget:
-    """Satellite regression: the degraded-mode store is a bounded LRU,
-    not an unbounded dict — a long-running service on a sick disk must
-    not grow without limit."""
-
-    def _degraded(self, tmp_path, **kwargs) -> ArtifactCache:
-        cache = ArtifactCache(tmp_path, degrade_threshold=1, **kwargs)
-        plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
-                                    max_fires=1)])
-        with faults.injected(plan, export_env=False):
-            cache.put("ff" + "f" * 62, "fp", "sacrifice")
-        assert cache.degraded
-        return cache
-
-    def test_entry_budget_evicts_lru_first(self, tmp_path):
-        cache = self._degraded(tmp_path, memory_max_entries=3)
-        keys = [f"{i:02d}" + "a" * 62 for i in range(5)]
-        for i, key in enumerate(keys):
-            cache.put(key, "fp", i)
-        assert cache.memory_entries == 3
-        assert cache.stats.evictions == 3  # sacrifice + keys[0] + keys[1]
-        assert cache.get(keys[0]) is None
-        assert cache.get(keys[4]) == ("fp", 4)
-
-    def test_get_refreshes_recency(self, tmp_path):
-        cache = self._degraded(tmp_path, memory_max_entries=2)
-        a = "0a" + "a" * 62
-        b = "0b" + "b" * 62
-        c = "0c" + "c" * 62
-        cache.put(a, "fp", 1)
-        cache.put(b, "fp", 2)
-        assert cache.get(a) == ("fp", 1)  # a is now most-recent
-        cache.put(c, "fp", 3)             # evicts b, not a
-        assert cache.get(b) is None
-        assert cache.get(a) == ("fp", 1)
-
-    def test_byte_budget_bounds_the_store(self, tmp_path):
-        cache = self._degraded(tmp_path, memory_max_bytes=4096)
-        for i in range(16):
-            cache.put(f"{i:02d}" + "b" * 62, "fp", bytes(1024))
-        assert cache.memory_bytes <= 4096
-        assert cache.stats.evictions > 0
-        assert cache.memory_entries >= 1
-
-    def test_single_oversized_entry_is_kept(self, tmp_path):
-        # Evicting the value that was just stored would make the store
-        # useless for exactly the key being worked on.
-        cache = self._degraded(tmp_path, memory_max_bytes=64)
-        cache.put(KEY, "fp", bytes(4096))
-        assert cache.get(KEY) == ("fp", bytes(4096))
-        assert cache.memory_entries == 1
-
-    def test_overwrite_same_key_does_not_evict(self, tmp_path):
-        cache = self._degraded(tmp_path, memory_max_entries=2)
-        cache.put(KEY, "fp", 1)
-        before = cache.stats.evictions
-        for i in range(5):
-            cache.put(KEY, "fp", i)
-        assert cache.stats.evictions == before
-        assert cache.memory_entries == 2  # sacrifice entry + KEY
-
-    def test_describe_reports_memory_budget_use(self, tmp_path):
-        cache = self._degraded(tmp_path)
-        cache.put(KEY, "fp", 1)
-        info = cache.describe()
-        assert info["memory_entries"] == cache.memory_entries
-        assert info["memory_bytes"] == cache.memory_bytes
-        assert info["session"]["evictions"] == cache.stats.evictions
-
-
-class TestContainsValidatesEnvelope:
-    """Satellite regression: ``key in cache`` must not trust a bare
-    ``.exists()`` — a corrupt envelope would be a phantom hit that
-    coalescing and stats then rely on."""
-
-    def test_corrupt_entry_is_not_contained(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", 1)
-        cache._path(KEY).write_bytes(b"exists but is garbage")
-        assert KEY not in cache
-        assert cache.stats.errors == 1
-        # The probe also dropped the corrupt file (inode-guarded).
-        assert not cache._path(KEY).exists()
-
-    def test_bitflipped_entry_is_not_contained(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put(KEY, "fp", {"payload": bytes(256)})
-        path = cache._path(KEY)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x01
-        path.write_bytes(bytes(data))
-        assert KEY not in cache
-        assert cache.stats.errors == 1
-
-    def test_probe_does_not_unlink_concurrent_replacement(
-        self, tmp_path, monkeypatch
-    ):
-        cache = ArtifactCache(tmp_path)
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"torn write")
-
-        original = ArtifactCache.verify_envelope
-
-        def racing_verify(data):
-            writer = ArtifactCache(tmp_path)
-            writer.put(KEY, "fresh", 7)
-            return original(data)
-
-        monkeypatch.setattr(ArtifactCache, "verify_envelope",
-                            staticmethod(racing_verify))
-        assert KEY not in cache
-        monkeypatch.undo()
-        assert path.exists()
-        assert cache.get(KEY) == ("fresh", 7)
+        assert cache.get(KEY) is None
 
 
 class TestTmpOrphanTolerance:
