@@ -474,14 +474,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"{cache.root}: removed {removed} cached artifact(s)")
         return 0
+    # Only what is on disk: degradation and I/O-error counts belong to
+    # the process that hit them, never to this one.
     info = cache.describe()
     print(f"cache root : {info['root']}")
     print(f"entries    : {info['entries']}")
     print(f"size       : {info['size_bytes'] / 1024:.1f} KiB")
-    print(f"degraded   : {'yes' if info['degraded'] else 'no'}")
-    session = info["session"]
-    if session["io_errors"]:
-        print(f"io errors  : {session['io_errors']}")
     return 0
 
 

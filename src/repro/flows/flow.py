@@ -252,9 +252,9 @@ def evaluate_benchmark(
 
 def _evaluate_shard(item) -> Tuple[str, EvaluationResult, PipelineReport]:
     """Top-level worker for :func:`run_sharded` (must be picklable)."""
-    label, name_or_fsm, kwargs, cache_dir = item
+    label, name_or_fsm, kwargs, cache = item
     result, report = evaluate_benchmark_detailed(
-        name_or_fsm, cache=cache_dir, **kwargs
+        name_or_fsm, cache=cache, **kwargs
     )
     return label, result, report
 
@@ -275,13 +275,21 @@ def evaluate_many(
     :func:`repro.pipeline.driver.run_sharded`).
     """
     resolved = resolve_cache(cache)
-    # Workers re-resolve this value; False (not None) keeps a
-    # "caching off" decision from falling through to REPRO_CACHE_DIR.
-    cache_path = str(resolved.root) if resolved is not None else False
+    if resolved is None:
+        # False (not None) keeps a "caching off" decision from falling
+        # through to REPRO_CACHE_DIR when the shard re-resolves it.
+        shard_cache: Union[bool, str, ArtifactCache] = False
+    elif jobs <= 1:
+        # Inline shards share the caller's cache, so its statistics and
+        # its degraded state span the whole run.
+        shard_cache = resolved
+    else:
+        # Pool workers open the same directory themselves.
+        shard_cache = str(resolved.root)
     items = []
     for entry in benchmarks:
         label = entry if isinstance(entry, str) else entry.name
-        items.append((label, entry, kwargs, cache_path))
+        items.append((label, entry, kwargs, shard_cache))
 
     start = time.perf_counter()
     shards = run_sharded(_evaluate_shard, items, jobs=jobs, max_retries=max_retries)

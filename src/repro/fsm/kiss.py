@@ -163,7 +163,12 @@ def parse_kiss(text: str, name: str = "fsm") -> FSM:
 
 
 def format_kiss(fsm: FSM) -> str:
-    """Serialize ``fsm`` to canonical KISS2 text."""
+    """Serialize ``fsm`` to canonical KISS2 text (computed once per
+    machine, see :meth:`~repro.fsm.machine.FSM.fact`)."""
+    return fsm.fact("kiss", _render_kiss)
+
+
+def _render_kiss(fsm: FSM) -> str:
     lines = [
         f".i {fsm.num_inputs}",
         f".o {fsm.num_outputs}",

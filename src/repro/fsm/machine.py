@@ -11,7 +11,8 @@ convention SIS applies when it synthesizes the STG to logic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TypeVar
 
 from repro.logic.cube import Cube
 
@@ -50,6 +51,7 @@ class Transition:
 
 
 _Row = Tuple[Tuple[int, int, str, int], ...]
+_T = TypeVar("_T")
 
 
 class FSM:
@@ -69,12 +71,20 @@ class FSM:
         STG edges.  Multiple edges may leave a state; their input cubes
         should be disjoint for a deterministic machine (checked by
         :meth:`check_deterministic`).
+
+    ``name``, ``num_inputs``, ``num_outputs``, ``states`` and
+    ``reset_state`` are fixed after construction, and transitions are
+    only added through :meth:`add_transition`: the machine caches facts
+    derived from them (see :meth:`fact`).
     """
 
-    # Per-state compiled transition rows, built by the first step() and
-    # dropped by add_transition(); never pickled.  Building is idempotent,
-    # so two threads racing on a fresh machine only build it twice.
+    # Per-state compiled transition rows, built by the first step(), and
+    # per-machine facts, built by the first fact() call of each name.
+    # add_transition() drops both; neither is pickled.  Building is
+    # idempotent, so two threads racing on a fresh machine only build
+    # twice.
     _rows: Optional[Dict[str, _Row]] = None
+    _facts: Optional[Dict[str, Any]] = None
 
     def __init__(
         self,
@@ -125,6 +135,7 @@ class FSM:
         self.transitions.append(t)
         self._by_src[t.src].append(t)
         self._rows = None  # recompiled by the next step()
+        self._facts = None  # recomputed on the next fact() call
 
     def add(self, src: str, inputs: str, dst: str, outputs: str) -> None:
         """Shorthand: ``fsm.add('A', '0-', 'B', '1')``."""
@@ -218,11 +229,30 @@ class FSM:
         self._rows = rows
         return rows
 
+    def fact(self, name: str, compute: Callable[["FSM"], _T]) -> _T:
+        """``compute(self)``, computed once per machine and ``name``.
+
+        For values derived from the machine alone — its canonical KISS2
+        text, :func:`~repro.fsm.markov.stg_fingerprint`,
+        :meth:`is_complete`, :meth:`validate`.  :meth:`add_transition`
+        forgets every fact.
+        """
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = {}
+        try:
+            return facts[name]
+        except KeyError:
+            value = facts[name] = compute(self)
+            return value
+
     def __getstate__(self) -> dict:
-        # The rows are a cache of the transitions: leaving them out keeps
-        # a pickled machine byte-identical whether or not it was stepped.
+        # The rows and facts are caches of the transitions: leaving them
+        # out keeps a pickled machine byte-identical whether or not it
+        # was stepped or inspected.
         state = self.__dict__.copy()
         state.pop("_rows", None)
+        state.pop("_facts", None)
         return state
 
     # ------------------------------------------------------------------
@@ -252,6 +282,9 @@ class FSM:
 
     def is_complete(self) -> bool:
         """True when every state specifies behaviour for every input."""
+        return self.fact("is_complete", FSM._is_complete)
+
+    def _is_complete(self) -> bool:
         from repro.logic.cube import Cover
         from repro.logic.minimize import is_tautology
 
@@ -286,13 +319,19 @@ class FSM:
 
     def validate(self) -> None:
         """Raise :class:`FsmError` on structural problems."""
+        problem = self.fact("validate", FSM._first_problem)
+        if problem is not None:
+            raise FsmError(problem)
+
+    def _first_problem(self) -> Optional[str]:
         conflicts = self.check_deterministic()
-        if conflicts:
-            a, b = conflicts[0]
-            raise FsmError(
-                f"non-deterministic STG: state {a.src!r} has overlapping "
-                f"cubes {a.inputs} and {b.inputs} with different behaviour"
-            )
+        if not conflicts:
+            return None
+        a, b = conflicts[0]
+        return (
+            f"non-deterministic STG: state {a.src!r} has overlapping "
+            f"cubes {a.inputs} and {b.inputs} with different behaviour"
+        )
 
     def __repr__(self) -> str:
         return (

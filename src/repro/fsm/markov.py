@@ -112,7 +112,12 @@ _STATIONARY_CACHE_MAX = 256
 
 
 def stg_fingerprint(fsm: FSM) -> str:
-    """SHA-256 of the machine's canonical state-transition graph."""
+    """SHA-256 of the machine's canonical state-transition graph
+    (computed once per machine, see :meth:`~repro.fsm.machine.FSM.fact`)."""
+    return fsm.fact("stg_fingerprint", _stg_fingerprint)
+
+
+def _stg_fingerprint(fsm: FSM) -> str:
     h = hashlib.sha256()
     h.update(fsm.name.encode("utf-8"))
     h.update(b"\x00")

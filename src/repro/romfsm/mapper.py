@@ -20,6 +20,14 @@ Two engineering options orthogonal to the core algorithm:
   outside the memory (Fig. 3), shrinking the word to the state code.
 * ``clock_control`` — add the §6 idle-state enable logic.
 
+The mapping runs in two steps.  :func:`plan_rom_mapping` makes every
+decision above and raises every :class:`MappingError`; its
+:class:`RomMappingPlan` is a small record with a hashable ``key``.
+:func:`build_rom_mapping` then produces what the plan describes: the
+memory contents, the multiplexer, the Moore output LUTs and the clock
+control.  :func:`map_fsm_to_rom` is the two in sequence.  The tuner
+plans every candidate and builds once per distinct key.
+
 The two auxiliary LUT networks -- the Fig. 4 input multiplexer and the
 §6 enable logic -- are pure functions of the machine, its state codes
 and ``k``, so they are memoised by content (:func:`clear_aux_logic_cache`
@@ -29,6 +37,7 @@ resets the memo).  Implementations share the memoised ``LutMapping`` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from repro.arch.bram import BramConfig
@@ -45,8 +54,11 @@ from repro.romfsm.impl import RomFsmImplementation
 
 __all__ = [
     "MappingError",
+    "RomMappingPlan",
+    "build_rom_mapping",
     "clear_aux_logic_cache",
     "map_fsm_to_rom",
+    "plan_rom_mapping",
     "resolve_rom_encoding",
     "synthesize_moore_outputs",
 ]
@@ -198,7 +210,55 @@ def resolve_rom_encoding(
     return resolved
 
 
-def map_fsm_to_rom(
+@dataclass(frozen=True)
+class RomMappingPlan:
+    """Every Fig. 5 decision for one machine, made before anything is built.
+
+    :func:`plan_rom_mapping` makes these decisions (and raises every
+    :class:`MappingError`); :func:`build_rom_mapping` turns a plan into
+    an implementation without deciding anything.  ``machine`` is the
+    planned machine's :func:`~repro.fsm.markov.stg_fingerprint`.
+    """
+
+    machine: str
+    encoding: StateEncoding
+    layout: RomLayout
+    config: BramConfig
+    parallel_brams: int
+    series_brams: int
+    compaction: Optional[ColumnCompaction]
+    external_moore: bool
+    clock_control: bool
+    k: int
+    max_idle_cubes: int
+
+    @property
+    def key(self) -> Tuple:
+        """Hashable identity of the implementation this plan builds:
+        two plans with equal keys build implementations with equal
+        fingerprints.  ``k`` counts only when some LUT logic is built,
+        ``max_idle_cubes`` only with clock control."""
+        compaction = self.compaction
+        has_luts = (
+            compaction is not None or self.external_moore or self.clock_control
+        )
+        return (
+            self.machine,
+            _encoding_key(self.encoding),
+            self.layout,
+            self.config,
+            self.parallel_brams,
+            self.series_brams,
+            None if compaction is None else (
+                compaction.width, tuple(compaction.state_columns.items())
+            ),
+            self.external_moore,
+            self.max_idle_cubes if self.clock_control else None,
+            self.k if has_luts else None,
+        )
+
+
+def plan_rom_mapping(
     fsm: FSM,
     k: int = 4,
     moore_outputs: str = "auto",
@@ -207,43 +267,10 @@ def map_fsm_to_rom(
     max_idle_cubes: int = 8,
     encoding: Union[None, str, StateEncoding] = None,
     aspect: Optional[str] = None,
-) -> RomFsmImplementation:
-    """Map ``fsm`` into embedded memory blocks per the paper's algorithm.
-
-    Parameters
-    ----------
-    fsm:
-        A deterministic machine (validated); completeness is not
-        required — unspecified behaviour is programmed as hold/zero.
-    k:
-        LUT size for any auxiliary logic (mux, Moore outputs, enable).
-    moore_outputs:
-        ``"auto"`` (external only when the word cannot fit any parallel
-        combination), ``"external"`` (force Fig. 3; requires a complete
-        Moore machine) or ``"internal"``.
-    clock_control:
-        Add the §6 idle-state enable logic.
-    force_compaction:
-        Apply column compaction even when the raw inputs fit (ablation
-        hook; the paper compacts only when necessary).
-    max_idle_cubes:
-        Clock-control area budget (see
-        :func:`repro.romfsm.clock_control.synthesize_clock_control`).
-    encoding:
-        ROM state assignment: ``None`` for the paper's dense binary, a
-        strategy name (see :mod:`repro.fsm.assign`), or a ready
-        :class:`StateEncoding`.  Must be dense with reset at code 0
-        (validated) — the assignment changes which address/data lines
-        toggle, not the mapping legality.
-    aspect:
-        Pin the block aspect ratio to one named Virtex-II configuration
-        (e.g. ``"512x36"``) instead of the widest-fit policy; raises
-        :class:`MappingError` when the machine cannot fit that shape.
-
-    Returns
-    -------
-    RomFsmImplementation
-    """
+) -> RomMappingPlan:
+    """Make the Fig. 5 decisions for ``fsm``; see :func:`map_fsm_to_rom`
+    for the options.  Raises :class:`MappingError` when no legal mapping
+    exists."""
     if moore_outputs not in ("auto", "external", "internal"):
         raise ValueError(f"bad moore_outputs option {moore_outputs!r}")
     mem = VIRTEX2_BRAM
@@ -308,7 +335,7 @@ def map_fsm_to_rom(
 
     width_needed = data_bits(use_external)
 
-    def plan(addr_bits: int):
+    def lanes(addr_bits: int):
         """(config, parallel, series) lanes for an address/width demand."""
         if forced is not None:
             # A pinned aspect ratio answers its own series question: one
@@ -340,10 +367,10 @@ def map_fsm_to_rom(
     # increases the power consumption".
     compaction: Optional[ColumnCompaction] = None
     input_bits = num_inputs
-    raw_plan = plan(num_inputs + s)
+    raw_plan = lanes(num_inputs + s)
     chosen = raw_plan
     if candidate_compaction.saves_bits or force_compaction:
-        compact_plan = plan(candidate_compaction.width + s)
+        compact_plan = lanes(candidate_compaction.width + s)
         take_compacted = force_compaction
         if compact_plan is not None and raw_plan is not None and not take_compacted:
             fewer_brams = (
@@ -377,35 +404,108 @@ def map_fsm_to_rom(
             f"the {mem.name} ROM approach"
         )
 
-    layout = RomLayout(
-        input_bits=input_bits,
-        state_bits=s,
-        output_bits=0 if use_external else num_outputs,
-    )
-    contents = generate_contents(fsm, encoding, layout, compaction)
-
-    mux_mapping = (
-        _mux_mapping(compaction, encoding, k) if compaction is not None
-        else None
-    )
-    moore_mapping = (
-        synthesize_moore_outputs(fsm, encoding, k=k) if use_external else None
-    )
-
-    impl = RomFsmImplementation(
-        fsm=fsm,
+    return RomMappingPlan(
+        machine=stg_fingerprint(fsm),
         encoding=encoding,
-        layout=layout,
+        layout=RomLayout(
+            input_bits=input_bits,
+            state_bits=s,
+            output_bits=0 if use_external else num_outputs,
+        ),
         config=config,
-        contents=contents,
         parallel_brams=parallel,
         series_brams=series,
         compaction=compaction,
-        mux_mapping=mux_mapping,
-        moore_output_mapping=moore_mapping,
+        external_moore=use_external,
+        clock_control=clock_control,
+        k=k,
+        max_idle_cubes=max_idle_cubes,
     )
-    if clock_control:
+
+
+def build_rom_mapping(fsm: FSM, plan: RomMappingPlan) -> RomFsmImplementation:
+    """Build the implementation ``plan`` describes: the memory contents,
+    the Fig. 4 input multiplexer, the Fig. 3 Moore output LUTs and the
+    §6 clock control.  ``plan`` must come from :func:`plan_rom_mapping`
+    on this machine."""
+    if stg_fingerprint(fsm) != plan.machine:
+        raise ValueError(f"{fsm.name}: the plan was made for another machine")
+    encoding = plan.encoding
+    compaction = plan.compaction
+    impl = RomFsmImplementation(
+        fsm=fsm,
+        encoding=encoding,
+        layout=plan.layout,
+        config=plan.config,
+        contents=generate_contents(fsm, encoding, plan.layout, compaction),
+        parallel_brams=plan.parallel_brams,
+        series_brams=plan.series_brams,
+        compaction=compaction,
+        mux_mapping=(
+            _mux_mapping(compaction, encoding, plan.k)
+            if compaction is not None else None
+        ),
+        moore_output_mapping=(
+            synthesize_moore_outputs(fsm, encoding, k=plan.k)
+            if plan.external_moore else None
+        ),
+    )
+    if plan.clock_control:
         impl.clock_control = _clock_control(
-            fsm, encoding, not use_external, k, max_idle_cubes,
+            fsm, encoding, not plan.external_moore, plan.k,
+            plan.max_idle_cubes,
         )
     return impl
+
+
+def map_fsm_to_rom(
+    fsm: FSM,
+    k: int = 4,
+    moore_outputs: str = "auto",
+    clock_control: bool = False,
+    force_compaction: bool = False,
+    max_idle_cubes: int = 8,
+    encoding: Union[None, str, StateEncoding] = None,
+    aspect: Optional[str] = None,
+) -> RomFsmImplementation:
+    """Map ``fsm`` into embedded memory blocks per the paper's algorithm.
+
+    Parameters
+    ----------
+    fsm:
+        A deterministic machine (validated); completeness is not
+        required — unspecified behaviour is programmed as hold/zero.
+    k:
+        LUT size for any auxiliary logic (mux, Moore outputs, enable).
+    moore_outputs:
+        ``"auto"`` (external only when the word cannot fit any parallel
+        combination), ``"external"`` (force Fig. 3; requires a complete
+        Moore machine) or ``"internal"``.
+    clock_control:
+        Add the §6 idle-state enable logic.
+    force_compaction:
+        Apply column compaction even when the raw inputs fit (ablation
+        hook; the paper compacts only when necessary).
+    max_idle_cubes:
+        Clock-control area budget (see
+        :func:`repro.romfsm.clock_control.synthesize_clock_control`).
+    encoding:
+        ROM state assignment: ``None`` for the paper's dense binary, a
+        strategy name (see :mod:`repro.fsm.assign`), or a ready
+        :class:`StateEncoding`.  Must be dense with reset at code 0
+        (validated) — the assignment changes which address/data lines
+        toggle, not the mapping legality.
+    aspect:
+        Pin the block aspect ratio to one named Virtex-II configuration
+        (e.g. ``"512x36"``) instead of the widest-fit policy; raises
+        :class:`MappingError` when the machine cannot fit that shape.
+
+    Returns
+    -------
+    RomFsmImplementation
+    """
+    return build_rom_mapping(fsm, plan_rom_mapping(
+        fsm, k=k, moore_outputs=moore_outputs, clock_control=clock_control,
+        force_compaction=force_compaction, max_idle_cubes=max_idle_cubes,
+        encoding=encoding, aspect=aspect,
+    ))

@@ -5,9 +5,9 @@ encoding, widest-first aspect selection, the Fig. 4 compaction policy.
 This package searches the mapper's free knobs for the Pareto-optimal
 configurations under the paper's own power/area/timing models.
 Candidates are canonical fingerprinted configurations; each one is
-mapped once to dedupe and bound it, and only the survivors are mapped
-again and scored, in batches on the crash-tolerant process-pool
-driver.  Pareto-dominated structures are pruned by an exact lower
+planned (the Fig. 5 decisions only), each distinct plan is built once
+to dedupe and bound it, and only the survivors are mapped again and
+scored, in batches on the crash-tolerant process-pool driver.  Pareto-dominated structures are pruned by an exact lower
 bound, and each candidate's bounds and fitness are memoised as two
 small sidecar entries in the artifact cache — so wall-clock scales
 with the frontier, not the grid, and a warm search maps nothing.

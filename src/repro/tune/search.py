@@ -3,12 +3,15 @@
 Wall-clock scales with the *frontier*, not the grid, through three
 mechanisms applied in order:
 
-1. **Structural dedupe.** Every candidate is mapped once, in the
-   driver, reusing one parsed FSM, and grouped by the implementation's
-   fingerprint: candidates that collapse onto the same implementation —
-   pinning the aspect the heuristic would pick anyway, forcing a
-   compaction the policy already took — share one evaluation.  The
-   enumeration-first candidate represents the group.
+1. **Structural dedupe.** Every candidate is planned
+   (:func:`~repro.romfsm.mapper.plan_rom_mapping`: the Fig. 5
+   decisions, no contents) in the driver, reusing one parsed FSM.
+   Candidates whose plans share a key share one implementation, which
+   is built and fingerprinted once.  Candidates are grouped by that
+   implementation fingerprint: candidates that collapse onto the same
+   implementation — pinning the aspect the heuristic would pick anyway,
+   forcing a compaction the policy already took — share one
+   evaluation.  The enumeration-first candidate represents the group.
 2. **Exact bound pruning.** Area and delay of a mapped candidate are
    static; power has a provable floor
    (:meth:`~repro.tune.fitness.ImplBounds.power_floor`).  Structures
@@ -45,7 +48,12 @@ from repro.pipeline.artifact import fingerprint
 from repro.pipeline.cache import ArtifactCache, resolve_cache
 from repro.pipeline.driver import run_sharded
 from repro.pipeline.stages import STAGE_VERSIONS
-from repro.romfsm.mapper import MappingError, map_fsm_to_rom
+from repro.romfsm.mapper import (
+    MappingError,
+    build_rom_mapping,
+    map_fsm_to_rom,
+    plan_rom_mapping,
+)
 from repro.tune.fitness import (
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
@@ -222,6 +230,10 @@ def tune_benchmark(
     # tune-bounds reads — zero mappings.
     fsm_fp = fingerprint(fsm)
     structures: Dict[str, _Structure] = {}
+    # Bounds of every implementation built so far, by plan key: equal
+    # keys build equal implementations, so each is built and
+    # fingerprinted once.
+    built: Dict[Tuple, ImplBounds] = {}
     infeasible = 0
     bounds_hits = 0
     baseline = baseline_candidate()
@@ -236,12 +248,16 @@ def tune_benchmark(
             bounds = ImplBounds.from_dict(data)
         else:
             try:
-                impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs())
+                plan = plan_rom_mapping(fsm, **candidate.mapper_kwargs())
             except (MappingError, FsmError):
                 infeasible += 1
                 _cache_put(resolved_cache, bounds_key, {"infeasible": True})
                 continue
-            bounds = ImplBounds.of(impl, fingerprint(impl))
+            bounds = built.get(plan.key)
+            if bounds is None:
+                impl = build_rom_mapping(fsm, plan)
+                bounds = ImplBounds.of(impl, fingerprint(impl))
+                built[plan.key] = bounds
             _cache_put(resolved_cache, bounds_key, bounds.as_dict())
         impl_fp = bounds.impl_fingerprint
         known = structures.get(impl_fp)

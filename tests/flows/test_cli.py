@@ -246,6 +246,9 @@ class TestCommands:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "entries    : 8" in out
+        # Degradation lives in the process that hit the errors; a fresh
+        # process cannot know it, so the command does not claim to.
+        assert "degraded" not in out
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 8" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0

@@ -1,9 +1,13 @@
 """Tests for the process-pool driver, manifest, and parallel equivalence."""
 
 import json
+import logging
 
+from repro import faults
+from repro.faults import FaultPlan
 from repro.flows import tables
 from repro.flows.flow import evaluate_many
+from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.driver import RunManifest, run_sharded
 from repro.pipeline.pipeline import PipelineReport, StageRecord
 
@@ -155,3 +159,50 @@ class TestManifestHooks:
             t.join()
         assert manifest.items == 1600
         assert manifest.stages["parse"].runs == 1600
+
+
+class _Events(logging.Handler):
+    """Collects the ``event=`` names logged while attached."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.events = []
+
+    def emit(self, record):
+        self.events.append(record.getMessage().split()[0])
+
+
+class TestInlineShardsShareTheCache:
+    def test_callers_cache_counts_the_run(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        evaluate_many(["dk14"], cache=cache, num_cycles=80, seed=3)
+        assert cache.stats.misses == cache.stats.stores == 8
+        evaluate_many(["dk14"], cache=cache, num_cycles=80, seed=3)
+        assert cache.stats.hits == 8
+
+    def test_degrading_tables_run_degrades_once(self, tmp_path, monkeypatch):
+        # Every put fails: the run's one cache degrades after the first
+        # three errors and stays off, instead of nine per-benchmark
+        # caches degrading one after another.
+        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+        plan = FaultPlan.from_json(
+            '{"seed": 7, "rules": [{"point": "cache.put", '
+            '"kind": "disk_full", "probability": 1}]}'
+        )
+        handler = _Events()
+        logger = logging.getLogger("repro.pipeline.cache")
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        tables.clear_results_memo()
+        try:
+            with faults.injected(plan):
+                tables.run_all(num_cycles=100, jobs=1,
+                               cache=str(tmp_path / "cache"))
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+            tables.clear_results_memo()
+            faults.uninstall()
+        assert handler.events.count("event=cache_degraded") == 1
+        assert handler.events.count("event=cache_io_error") == 3

@@ -141,17 +141,54 @@ class TestSearch:
 
 
 def count_mappings(monkeypatch):
-    """Count the tuner's calls of the mapper (Phase 1 and evaluations)."""
+    """Count the tuner's calls into the mapper — one-call mappings,
+    plans and builds, in Phase 1 and in evaluations — by name."""
     from repro.tune import search
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return map_fsm_to_rom(*args, **kwargs)
+    def counting(name):
+        real = getattr(search, name)
 
-    monkeypatch.setattr(search, "map_fsm_to_rom", counting)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("map_fsm_to_rom", "plan_rom_mapping", "build_rom_mapping"):
+        monkeypatch.setattr(search, name, counting(name))
     return calls
+
+
+class TestColdWork:
+    def test_cold_search_builds_and_fingerprints_once_per_structure(
+        self, monkeypatch
+    ):
+        from repro.romfsm.impl import RomFsmImplementation
+        from repro.tune import search
+
+        calls = count_mappings(monkeypatch)
+        hashed = []
+        real_fingerprint = search.fingerprint
+
+        def counting_fingerprint(value):
+            if isinstance(value, RomFsmImplementation):
+                hashed.append(value)
+            return real_fingerprint(value)
+
+        monkeypatch.setattr(search, "fingerprint", counting_fingerprint)
+        # dk14's default space: 168 candidates onto 72 structures.
+        result = tune_benchmark("dk14", cache=False, num_cycles=96, seed=7)
+        s = result.stats
+        assert s["deduped"] > 0
+        # Phase 1 plans every candidate (the baseline too) and builds
+        # and fingerprints one implementation per structure; each
+        # evaluation maps its candidate once (jobs=1 runs inline).
+        assert calls.count("plan_rom_mapping") == s["candidates"] + 1
+        assert calls.count("build_rom_mapping") == s["structures"]
+        assert len(hashed) == s["structures"]
+        assert calls.count("map_fsm_to_rom") == s["evaluated"]
 
 
 class TestSidecarMemos:
