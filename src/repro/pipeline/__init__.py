@@ -27,6 +27,7 @@ from repro.pipeline.cache import (
     DEFAULT_CACHE_DIR,
     CACHE_DIR_ENV,
     ArtifactCache,
+    CacheLoadError,
     CacheStats,
     resolve_cache,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "FingerprintError",
     "fingerprint",
     "ArtifactCache",
+    "CacheLoadError",
     "CacheStats",
     "resolve_cache",
     "DEFAULT_CACHE_DIR",

@@ -46,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
@@ -263,13 +263,40 @@ def fingerprint(value: Any) -> str:
     return _digest(value).hex()
 
 
-@dataclasses.dataclass(frozen=True)
 class Artifact:
-    """One stage output: the value plus its content fingerprint."""
+    """One stage output: the value plus its content fingerprint.
 
-    value: Any
-    fingerprint: str
+    A cache hit is built with :meth:`deferred`: the fingerprint comes
+    from the entry header and ``load`` makes the value on the first
+    read of :attr:`value`, which then keeps it.  A stage whose value
+    nothing reads is never deserialized.
+    """
+
+    __slots__ = ("fingerprint", "_value", "_load")
+
+    def __init__(self, value: Any, fingerprint: str):
+        self.fingerprint = fingerprint
+        self._value = value
+        self._load: Optional[Callable[[], Any]] = None
 
     @classmethod
     def of(cls, value: Any) -> "Artifact":
         return cls(value=value, fingerprint=fingerprint(value))
+
+    @classmethod
+    def deferred(cls, fingerprint: str, load: Callable[[], Any]) -> "Artifact":
+        art = cls(None, fingerprint)
+        art._load = load
+        return art
+
+    @property
+    def value(self) -> Any:
+        load = self._load
+        if load is not None:
+            self._value = load()
+            self._load = None
+        return self._value
+
+    def __reduce__(self):
+        # A pending load closes over a file's bytes; ship the value.
+        return (Artifact, (self.value, self.fingerprint))

@@ -4,8 +4,17 @@ Layout::
 
     <root>/objects/<key[:2]>/<key>.pkl
 
-where ``key`` is the stage cache key (see :meth:`Stage.cache_key`) and
-each object file holds a pickled ``(fingerprint, value)`` pair.  Writes
+where ``key`` is the stage cache key (see :meth:`Stage.cache_key`).
+Each object file is one entry::
+
+    b"RFC2" | CRC32 (4 bytes, big-endian) | fingerprint length (2 bytes,
+    big-endian) | fingerprint (ASCII) | pickle of the value
+
+The CRC covers everything after it.  :meth:`ArtifactCache.get` checks
+it on every read and returns an :class:`~repro.pipeline.artifact.Artifact`
+whose fingerprint comes from the header; the value is unpickled only
+when something reads it, so a warm run that keys the next stage off a
+fingerprint never deserializes a value it does not use.  Writes
 are atomic (temp file + ``os.replace``) so concurrent workers sharing a
 cache directory can only ever observe complete entries; since keys are
 content-addressed, two workers racing on the same key write identical
@@ -13,13 +22,15 @@ bytes and either winner is correct.
 
 Crash-safety contract: the cache is an accelerator, never a
 correctness dependency.  Every entry is wrapped in a checksummed
-envelope (magic + CRC32 of the pickle payload) so silent corruption —
-a torn write, a flipped bit — is detected on read instead of being
-deserialized into a plausible-but-wrong value.  Corrupt or unreadable
-entries are treated as misses (and removed only when the on-disk file
-is provably the one that failed to decode — see the inode guard in
-:meth:`get`), I/O
-errors on reads and writes are absorbed and counted, and after
+envelope (magic + CRC32) so silent corruption — a torn write, a flipped
+bit — is detected on read instead of being deserialized into a
+plausible-but-wrong value.  Corrupt or unreadable entries, and entries
+of an older envelope format, are treated as misses (and removed only
+when the on-disk file is provably the one that failed to decode — see
+the inode guard in :meth:`_drop_corrupt`).  A checksum-valid value that
+will not unpickle (a class renamed without a stage version bump) raises
+:class:`CacheLoadError` from ``.value`` and drops its entry the same
+way.  I/O errors on reads and writes are absorbed and counted, and after
 ``degrade_threshold`` consecutive I/O errors the cache *degrades to
 off*: every later lookup is a miss and every later store a no-op, so a
 sick disk cannot take the pipeline down with it.  The pipeline holds
@@ -40,17 +51,20 @@ import pickle
 import tempfile
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import faults
 from repro.logutil import get_logger, kv
+from repro.pipeline.artifact import Artifact
 
 __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "DEGRADE_THRESHOLD",
     "ArtifactCache",
+    "CacheLoadError",
     "CacheStats",
     "resolve_cache",
 ]
@@ -63,11 +77,29 @@ DEGRADE_THRESHOLD = 3
 
 _PICKLE_PROTOCOL = 4
 
-# Entry envelope: magic + 4-byte big-endian CRC32, then the pickle.
-_ENTRY_MAGIC = b"RFC1"
-_HEADER_LEN = len(_ENTRY_MAGIC) + 4
+# Entry envelope: magic, CRC32 of the rest, fingerprint length, the
+# fingerprint, then the pickle (see the module docstring).
+_ENTRY_MAGIC = b"RFC2"
+_CRC_END = len(_ENTRY_MAGIC) + 4
+_HEADER_LEN = _CRC_END + 2
 
 logger = get_logger("pipeline.cache")
+
+
+class CacheLoadError(RuntimeError):
+    """A checksum-valid entry whose value would not unpickle.
+
+    The bytes are the ones that were written, so the classes they name
+    no longer load: one was renamed or moved without a stage version
+    bump.  The entry is dropped; the next run recomputes it.
+    """
+
+    def __init__(self, key: str, cause: BaseException):
+        super().__init__(
+            f"cache entry {key} would not unpickle: "
+            f"{type(cause).__name__}: {cause}"
+        )
+        self.key = key
 
 
 @dataclass
@@ -138,26 +170,30 @@ class ArtifactCache:
 
     @staticmethod
     def _encode(fingerprint: str, value: Any) -> bytes:
-        payload = pickle.dumps((fingerprint, value), protocol=_PICKLE_PROTOCOL)
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        return _ENTRY_MAGIC + crc.to_bytes(4, "big") + payload
+        fp = fingerprint.encode("ascii")
+        body = len(fp).to_bytes(2, "big") + fp
+        payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+        crc = zlib.crc32(payload, zlib.crc32(body))
+        return b"".join((_ENTRY_MAGIC, crc.to_bytes(4, "big"), body, payload))
 
     @staticmethod
-    def _decode(data: bytes) -> Tuple[str, Any]:
-        """Checksum-verified deserialization (a seam for race tests).
+    def _decode(data: bytes) -> Tuple[str, memoryview]:
+        """Checksum-verified ``(fingerprint, pickle bytes)`` (a seam for
+        race tests).
 
-        Raises on a missing/garbled envelope or a CRC mismatch so any
-        corruption — including a single flipped bit that pickle would
-        cheerfully decode into a wrong value — lands in the
-        corrupt-entry path, never in a hit.
+        Raises on a missing/garbled envelope (an older format included)
+        or a CRC mismatch so any corruption — including a single flipped
+        bit that pickle would cheerfully decode into a wrong value —
+        lands in the corrupt-entry path, never in a hit.
         """
         if len(data) < _HEADER_LEN or data[:len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
             raise ValueError("missing cache-entry envelope")
-        expected = int.from_bytes(data[len(_ENTRY_MAGIC):_HEADER_LEN], "big")
-        payload = data[_HEADER_LEN:]
-        if zlib.crc32(payload) & 0xFFFFFFFF != expected:
+        expected = int.from_bytes(data[len(_ENTRY_MAGIC):_CRC_END], "big")
+        view = memoryview(data)
+        if zlib.crc32(view[_CRC_END:]) != expected:
             raise ValueError("cache-entry checksum mismatch")
-        return pickle.loads(payload)
+        fp_end = _HEADER_LEN + int.from_bytes(data[_CRC_END:_HEADER_LEN], "big")
+        return data[_HEADER_LEN:fp_end].decode("ascii"), view[fp_end:]
 
     def _drop_corrupt(self, path: str, read_stat) -> None:
         """Unlink a corrupt entry — only if it is provably the file we
@@ -176,8 +212,12 @@ class ArtifactCache:
 
     # -- lookups --------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Tuple[str, Any]]:
-        """Return ``(fingerprint, value)`` for ``key``, or ``None``."""
+    def get(self, key: str) -> Optional[Artifact]:
+        """The entry under ``key``, or ``None``.
+
+        The artifact's fingerprint is read from the verified header; its
+        value is unpickled by the first read of ``.value``.
+        """
         if self.degraded:
             self.stats.misses += 1
             return None
@@ -190,7 +230,7 @@ class ArtifactCache:
                 data = fh.read()
             if action is not None:
                 data = faults.corrupt_bytes(action, data)
-            fingerprint, value = self._decode(data)
+            fingerprint, payload = self._decode(data)
         except FileNotFoundError:
             # A miss, not an I/O verdict: it neither counts toward nor
             # resets the error streak.  (The pipeline's get-then-put
@@ -212,7 +252,19 @@ class ArtifactCache:
             return None
         self.stats.hits += 1
         self._io_success()
-        return fingerprint, value
+        return Artifact.deferred(
+            fingerprint, partial(self._load, key, path, read_stat, payload)
+        )
+
+    def _load(self, key: str, path: str, read_stat, payload) -> Any:
+        """Unpickle a verified entry's value; on failure drop the entry
+        and raise :class:`CacheLoadError`."""
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            self.stats.errors += 1
+            self._drop_corrupt(path, read_stat)
+            raise CacheLoadError(key, exc) from exc
 
     def put(self, key: str, fingerprint: str, value: Any) -> None:
         """Store an entry.  Storage failure degrades; it never raises."""

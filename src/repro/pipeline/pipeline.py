@@ -139,19 +139,16 @@ class Pipeline:
             dep_fps = {dep: artifacts[dep].fingerprint for dep in stage.deps}
             key = stage.cache_key(dep_fps, config)
             start = time.perf_counter()
-            hit = False
-            if cache is not None:
-                loaded = cache.get(key)
-                if loaded is not None:
-                    fp, value = loaded
-                    hit = True
+            # A hit keeps the cache's artifact as it is: its value is
+            # unpickled only if a later stage or the caller reads it.
+            art = cache.get(key) if cache is not None else None
+            hit = art is not None
             if not hit:
-                ctx = StageContext(config, artifacts)
-                value = stage.func(ctx)
-                fp = fingerprint(value)
+                value = stage.func(StageContext(config, artifacts))
+                art = Artifact(value=value, fingerprint=fingerprint(value))
                 if cache is not None:
-                    cache.put(key, fp, value)
-            artifacts[stage.name] = Artifact(value=value, fingerprint=fp)
+                    cache.put(key, art.fingerprint, value)
+            artifacts[stage.name] = art
             records.append(
                 StageRecord(
                     stage=stage.name,
@@ -159,7 +156,7 @@ class Pipeline:
                     key=key,
                     cache_hit=hit,
                     seconds=time.perf_counter() - start,
-                    fingerprint=fp,
+                    fingerprint=art.fingerprint,
                 )
             )
         return PipelineResult(artifacts=artifacts, report=PipelineReport(records))

@@ -43,7 +43,12 @@ from repro.arch.timing import TimingReport
 from repro.fsm.encoding import StateEncoding, make_encoding
 from repro.fsm.kiss import parse_kiss
 from repro.fsm.machine import FSM
-from repro.fsm.simulate import FsmSimulator, idle_biased_stimulus, random_stimulus
+from repro.fsm.simulate import (
+    FsmSimulator,
+    SimulationTrace,
+    idle_biased_stimulus,
+    random_stimulus,
+)
 from repro.power.activity import (
     FfActivity,
     RomActivity,
@@ -85,7 +90,8 @@ STAGE_VERSIONS: Dict[str, str] = {
     # the deleted multi-FSM overlay replay read.
     "simulate": "3",
     "activity": "1",
-    "power": "1",
+    # 2: PowerBundle carries achieved_idle_fraction (simulate is a dep).
+    "power": "2",
     # flows.eco's incremental ECO path (paper §4.2): patch the mapped ROM
     # image in place, re-simulate with the codegen replayer, re-estimate.
     "eco-patch": "1",
@@ -104,8 +110,14 @@ def paper_moore_output_mode(fsm: FSM) -> str:
     return "external" if fsm.name in _EXTERNAL_OUTPUT_BENCHMARKS else "auto"
 
 
-def verify_equivalence(fsm: FSM, stimulus: List[int], *streams) -> None:
-    """Cycle-exact check of implementation outputs against the reference."""
+def verify_equivalence(
+    fsm: FSM, stimulus: List[int], *streams
+) -> SimulationTrace:
+    """Cycle-exact check of implementation outputs against the reference.
+
+    Returns the reference trace, so a caller that needs it too does not
+    simulate the stimulus again.
+    """
     reference = FsmSimulator(fsm).run(stimulus)
     for label, outputs in streams:
         if outputs != reference.outputs:
@@ -113,6 +125,7 @@ def verify_equivalence(fsm: FSM, stimulus: List[int], *streams) -> None:
                 f"{fsm.name}: {label} implementation diverged from the "
                 f"reference FSM on the shared stimulus"
             )
+    return reference
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +156,11 @@ class ActivityBundle:
 
 @dataclass
 class PowerBundle:
-    """Power per frequency (keyed ``{freq:g}``) plus timing reports."""
+    """Power per frequency (keyed ``{freq:g}``) plus timing reports.
+
+    ``achieved_idle_fraction`` is copied from ``simulate`` so that a
+    warm evaluation reads everything it reports from this one stage.
+    """
 
     ff_power: Dict[str, PowerReport]
     rom_power: Dict[str, PowerReport]
@@ -151,6 +168,7 @@ class PowerBundle:
     ff_timing: TimingReport
     rom_timing: TimingReport
     rom_cc_timing: Optional[TimingReport] = None
+    achieved_idle_fraction: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +266,11 @@ def _stage_simulate(ctx: StageContext) -> SimulationBundle:
         )
         cc_trace = rom_cc_impl.run(idle_stim)
         if verify:
-            verify_equivalence(
+            reference = verify_equivalence(
                 fsm, idle_stim, ("ROM+clock-control", cc_trace.output_stream)
             )
-        reference = FsmSimulator(fsm).run(idle_stim)
+        else:
+            reference = FsmSimulator(fsm).run(idle_stim)
         bundle.idle_stimulus = idle_stim
         bundle.cc_trace = cc_trace
         bundle.achieved_idle_fraction = reference.idle_fraction()
@@ -320,6 +339,7 @@ def _stage_power(ctx: StageContext) -> PowerBundle:
         ff_timing=ff_timing,
         rom_timing=rom_timing,
         rom_cc_timing=rom_cc_timing,
+        achieved_idle_fraction=ctx.value("simulate").achieved_idle_fraction,
     )
 
 
@@ -369,7 +389,7 @@ def build_evaluation_pipeline(with_clock_control: bool = True) -> Pipeline:
         make_stage("activity", _stage_activity,
                ("ff-synth", "rom-map", "simulate") + cc, ()),
         make_stage("power", _stage_power,
-               ("ff-synth", "rom-map", "activity") + cc,
+               ("ff-synth", "rom-map", "simulate", "activity") + cc,
                ("frequencies", "device", "params", "with_clock_control")),
     ]
     return Pipeline(stages)

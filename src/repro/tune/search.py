@@ -115,8 +115,8 @@ def _sidecar_key(kind: str, fsm_fp: str, candidate: TuneCandidate,
 
 
 def _cache_get(cache: Optional[ArtifactCache], key: str) -> Optional[Any]:
-    loaded = cache.get(key) if cache is not None else None
-    return None if loaded is None else loaded[1]
+    art = cache.get(key) if cache is not None else None
+    return None if art is None else art.value
 
 
 def _cache_put(cache: Optional[ArtifactCache], key: str, value: Any) -> None:
@@ -168,6 +168,27 @@ def _resolve_target(name_or_fsm: Union[str, FSM]) -> Tuple[FSM, str]:
     return name_or_fsm, name_or_fsm.name
 
 
+def _cc_duty_floor(fsm: FSM, num_cycles: int, seed: int) -> float:
+    """Duty floor for clock-controlled candidates.
+
+    A stopped cycle must be a state hold, so the enable duty can never
+    drop under one minus the reference trajectory's self-loop fraction
+    (small margin for trace-boundary conventions).  One reference
+    simulation of the shared stimulus serves every candidate's bound;
+    it is kept as a machine fact, so a warm re-search simulates nothing.
+    """
+
+    def compute(machine: FSM) -> float:
+        stimulus = random_stimulus(machine.num_inputs, num_cycles, seed=seed)
+        ref_states = FsmSimulator(machine).run(stimulus).states
+        self_loops = sum(1 for a, b in zip(ref_states, ref_states[1:]) if a == b)
+        return max(
+            0.0, 1.0 - self_loops / max(1, num_cycles) - 2.0 / max(1, num_cycles)
+        )
+
+    return fsm.fact(f"cc_duty_floor/{num_cycles}/{seed}", compute)
+
+
 def _evaluate(item: Tuple[FSM, TuneCandidate, Dict[str, Any]]) -> Dict[str, Any]:
     """Pool worker: map one candidate and score it.  Module-level so it
     pickles."""
@@ -213,17 +234,7 @@ def tune_benchmark(
 
     resolved_cache = resolve_cache(cache)
 
-    # Duty floor for clock-controlled candidates: a stopped cycle must
-    # be a state hold, so the enable duty can never drop under one
-    # minus the reference trajectory's self-loop fraction (small margin
-    # for trace-boundary conventions).  One reference simulation of the
-    # shared stimulus, shared by every candidate's bound.
-    stimulus = random_stimulus(fsm.num_inputs, int(num_cycles), seed=int(seed))
-    ref_states = FsmSimulator(fsm).run(stimulus).states
-    self_loops = sum(1 for a, b in zip(ref_states, ref_states[1:]) if a == b)
-    cc_duty_floor = max(
-        0.0, 1.0 - self_loops / max(1, len(stimulus)) - 2.0 / max(1, num_cycles)
-    )
+    cc_duty_floor = _cc_duty_floor(fsm, int(num_cycles), int(seed))
 
     # ---- Phase 1: static mapping, dedupe, exact bounds (in-driver) ----
     # With a warm cache this whole phase is key hashes and small

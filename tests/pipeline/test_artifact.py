@@ -109,3 +109,10 @@ class TestArtifact:
         art = Artifact.of([1, 2, 3])
         assert art.value == [1, 2, 3]
         assert art.fingerprint == fingerprint([1, 2, 3])
+
+    def test_deferred_artifact_pickles_as_its_value(self):
+        import pickle
+
+        art = Artifact.deferred("fp", lambda: [1, 2, 3])
+        copy = pickle.loads(pickle.dumps(art))
+        assert (copy.fingerprint, copy.value) == ("fp", [1, 2, 3])

@@ -1,10 +1,16 @@
 """Unit tests for the content-addressed artifact cache."""
 
+import pickle
+import sys
+import zlib
 from pathlib import Path
+
+import pytest
 
 from repro.pipeline.cache import (
     CACHE_DIR_ENV,
     ArtifactCache,
+    CacheLoadError,
     resolve_cache,
 )
 
@@ -16,7 +22,8 @@ class TestRoundTrip:
     def test_put_get(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put(KEY, "fp1", {"value": [1, 2, 3]})
-        assert cache.get(KEY) == ("fp1", {"value": [1, 2, 3]})
+        art = cache.get(KEY)
+        assert (art.fingerprint, art.value) == ("fp1", {"value": [1, 2, 3]})
         assert cache.get(OTHER) is None
 
     def test_get_missing_is_none(self, tmp_path):
@@ -52,7 +59,77 @@ class TestCorruption:
         assert not path.exists()
         # A later put repopulates the slot.
         cache.put(KEY, "fp", [1, 2])
-        assert cache.get(KEY) == ("fp", [1, 2])
+        art = cache.get(KEY)
+        assert (art.fingerprint, art.value) == ("fp", [1, 2])
+
+
+class TestEnvelope:
+    def test_get_reads_the_fingerprint_without_unpickling(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        cache.put(KEY, "fp", {"value": [1, 2, 3]})
+        loads = []
+        real_loads = pickle.loads
+
+        def counting_loads(data, *args, **kwargs):
+            loads.append(len(data))
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        art = cache.get(KEY)
+        assert art.fingerprint == "fp"
+        assert loads == []
+        assert art.value == {"value": [1, 2, 3]}
+        assert art.value is art.value
+        assert len(loads) == 1
+
+    def test_flipped_fingerprint_bit_is_a_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put(KEY, "f" * 64, [1, 2])
+        path = Path(cache._path(KEY))
+        data = bytearray(path.read_bytes())
+        at = data.index(b"f" * 64) + 17
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert cache.get(KEY) is None
+        assert cache.stats.errors == 1
+        assert cache.stats.misses == 1
+        assert not path.exists()
+
+    def test_old_envelope_is_a_miss_and_removed(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        payload = pickle.dumps(("fp", [1, 2]), protocol=4)
+        crc = zlib.crc32(payload).to_bytes(4, "big")
+        path = Path(cache._path(KEY))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"RFC1" + crc + payload)
+        assert cache.get(KEY) is None
+        assert cache.stats.errors == 1
+        assert cache.stats.misses == 1
+        assert not path.exists()
+
+    def test_failed_deferred_load_is_typed_and_drops_the_entry(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        cache.put(KEY, "fp", Renamed())
+        path = Path(cache._path(KEY))
+        # The class the entry names is gone: its bytes pass the CRC but
+        # no longer unpickle.
+        monkeypatch.delattr(sys.modules[__name__], "Renamed")
+        art = cache.get(KEY)
+        assert art is not None and art.fingerprint == "fp"
+        with pytest.raises(CacheLoadError) as info:
+            art.value
+        assert info.value.key == KEY
+        assert KEY in str(info.value)
+        assert cache.stats.errors == 1
+        assert not path.exists()
+
+
+class Renamed:
+    """A value class the envelope test deletes after storing one."""
 
 
 class TestMaintenance:

@@ -114,7 +114,8 @@ class TestCorruptEntryRace:
 
         # The replacement written mid-race is still there and valid.
         assert path.exists()
-        assert cache.get(KEY) == ("fresh", {"v": 2})
+        art = cache.get(KEY)
+        assert (art.fingerprint, art.value) == ("fresh", {"v": 2})
 
     def test_corrupt_entry_without_race_is_still_removed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -148,7 +149,8 @@ class TestCorruptEntryRace:
         assert cache.stats.errors == 1
         # The entry was dropped as corrupt; a rewrite reads back clean.
         cache.put(KEY, "fp", value)
-        assert cache.get(KEY) == ("fp", value)
+        art = cache.get(KEY)
+        assert (art.fingerprint, art.value) == ("fp", value)
 
 
 class TestDegradation:
@@ -183,7 +185,8 @@ class TestDegradation:
             cache.put(OTHER, "fp", 2)   # succeeds, resets the streak
         assert not cache.degraded
         assert cache.stats.io_errors == 1
-        assert cache.get(OTHER) == ("fp", 2)
+        art = cache.get(OTHER)
+        assert (art.fingerprint, art.value) == ("fp", 2)
         assert cache.get(KEY) is None  # lost write is a plain miss
 
     def test_read_errors_count_toward_degradation(self, tmp_path):

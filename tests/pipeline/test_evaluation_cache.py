@@ -9,7 +9,7 @@ machine reaches the same artifacts however it enters the flow.
 import pytest
 
 from repro.bench.suite import load_benchmark
-from repro.flows.flow import evaluate_benchmark_detailed
+from repro.flows.flow import evaluate_benchmark, evaluate_benchmark_detailed
 from repro.pipeline.cache import ArtifactCache
 
 KW = dict(num_cycles=150, seed=11)
@@ -53,6 +53,27 @@ class TestWarmCache:
         assert warm_result.ff_power[key].total_mw == \
             cold_result.ff_power[key].total_mw
         assert warm_result.saving_percent() == cold_result.saving_percent()
+
+    def test_warm_run_unpickles_only_what_it_reports(self, cache,
+                                                     monkeypatch):
+        _, cold = evaluate_benchmark_detailed("dk14", cache=cache, **KW)
+        stage_of = {r.key: r.stage for r in cold.records}
+        loaded = []
+        real_load = ArtifactCache._load
+
+        def recording_load(self, key, *args):
+            loaded.append(stage_of[key])
+            return real_load(self, key, *args)
+
+        monkeypatch.setattr(ArtifactCache, "_load", recording_load)
+        warm = evaluate_benchmark("dk14", cache=cache, **KW)
+        monkeypatch.undo()
+        assert sorted(loaded) == sorted(
+            ["parse", "ff-synth", "rom-map", "rom-cc", "power"]
+        )
+        plain = evaluate_benchmark("dk14", **KW)
+        assert warm.achieved_idle_fraction == plain.achieved_idle_fraction
+        assert warm.cc_saving_percent() == plain.cc_saving_percent()
 
     def test_results_match_uncached_run(self, cache):
         _, cached = evaluate_benchmark_detailed("dk14", cache=cache, **KW)

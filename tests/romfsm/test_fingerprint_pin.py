@@ -48,7 +48,7 @@ DK14_STAGE_FINGERPRINTS = {
     "rom-cc": "d7200df4314e37a7556b70c0c76cf0b1ee0b4dc9c3e4012ff52e67675290bca5",
     "simulate": "fa64ead5d70d67a2575f4605a707d2b1befacf9291ad1b770eaa5a1a99af1b96",
     "activity": "cf17fa99a2e56ceff533300cc188b7cd5a253964515ea41bb389469ff85718a2",
-    "power": "43b92aad7a58ffe931c41fea9de8231db883eeef11dbdc32f21a30e55d3cc999",
+    "power": "a4e9ba4ddc162e47956c52526585d5ea415a74520c4d7aa9f8a88c9b38b416d2",
 }
 
 

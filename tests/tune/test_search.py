@@ -210,6 +210,25 @@ class TestSidecarMemos:
         assert s["bounds_cache_hits"] == s["candidates"] + 1
         assert s["fitness_cache_hits"] == s["evaluated"]
 
+    def test_warm_search_runs_no_reference_simulation(self, tmp_path,
+                                                      monkeypatch):
+        from repro.fsm.simulate import FsmSimulator
+
+        cache = str(tmp_path / "cache")
+        cold = tune_benchmark("dk14", cache=cache, **SMALL)
+        runs = []
+        real_run = FsmSimulator.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(FsmSimulator, "run", counting_run)
+        warm = tune_benchmark("dk14", cache=cache, **SMALL)
+        assert warm.canonical_json() == cold.canonical_json()
+        # The duty floor is a fact of the machine and the settings.
+        assert runs == []
+
     def test_cold_search_stores_only_the_two_sidecars(self, tmp_path):
         from repro.pipeline.cache import ArtifactCache
 
@@ -218,7 +237,7 @@ class TestSidecarMemos:
         store = ArtifactCache(cache)
         kinds = {"bounds": 0, "point": 0, "other": 0}
         for path in cache.glob("objects/*/*.pkl"):
-            value = store.get(path.stem)[1]
+            value = store.get(path.stem).value
             if isinstance(value, dict) and (
                 "impl_fingerprint" in value or "infeasible" in value
             ):
