@@ -27,6 +27,7 @@ __all__ = [
     "SimulationTrace",
     "FsmSimulator",
     "derive_stream_seed",
+    "divergence",
     "random_stimulus",
     "idle_biased_stimulus",
     "toggle_counts",
@@ -46,6 +47,18 @@ def derive_stream_seed(seed: int, stream: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{stream}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def divergence(fsm: FSM, label: str, cycle: int) -> AssertionError:
+    """The error an implementation that disagrees with its STG raises.
+
+    ``label`` names the implementation ("FF", "ROM", ...) and ``cycle``
+    is the first cycle on which it diverged from the reference machine.
+    """
+    return AssertionError(
+        f"{fsm.name}: {label} implementation diverged from the reference "
+        f"FSM at cycle {cycle}"
+    )
 
 
 @dataclass

@@ -46,6 +46,7 @@ from repro.fsm.machine import FSM
 from repro.fsm.simulate import (
     FsmSimulator,
     SimulationTrace,
+    divergence,
     idle_biased_stimulus,
     random_stimulus,
 )
@@ -115,16 +116,19 @@ def verify_equivalence(
 ) -> SimulationTrace:
     """Cycle-exact check of implementation outputs against the reference.
 
-    Returns the reference trace, so a caller that needs it too does not
-    simulate the stimulus again.
+    Raises :func:`~repro.fsm.simulate.divergence` at the first cycle on
+    which a stream differs.  Returns the reference trace, so a caller
+    that needs it too does not simulate the stimulus again.
     """
     reference = FsmSimulator(fsm).run(stimulus)
+    want = reference.outputs
     for label, outputs in streams:
-        if outputs != reference.outputs:
-            raise AssertionError(
-                f"{fsm.name}: {label} implementation diverged from the "
-                f"reference FSM on the shared stimulus"
+        if outputs != want:
+            cycle = next(
+                (k for k, (a, b) in enumerate(zip(outputs, want)) if a != b),
+                min(len(outputs), len(want)),
             )
+            raise divergence(fsm, label, cycle)
     return reference
 
 

@@ -24,6 +24,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.synth.netsim import net_words
+from repro.synth.wordsim import unpack_word
+
 __all__ = [
     "write_vcd",
     "parse_vcd",
@@ -165,23 +168,11 @@ def ff_netlist_columns(impl, stimulus: Sequence[int]) -> Dict[str, List[int]]:
     Re-simulates the netlist (the toggle-count trace does not retain
     waveforms) and returns the raw columns suitable for
     :func:`write_vcd` — the repro equivalent of "save all signals" in
-    ModelSim before the XPower hand-off.
+    ModelSim before the XPower hand-off.  The columns are the packed net
+    words of :func:`repro.synth.netsim.net_words`, unpacked.
     """
-    encoding = impl.encoding
-    code = encoding.encode(impl.fsm.reset_state)
-    columns: Dict[str, List[int]] = {}
-    for input_bits in stimulus:
-        values = impl.combinational_inputs(code, input_bits)
-        nets = impl.mapping.evaluate_all_nets(values)
-        for name, value in nets.items():
-            columns.setdefault(name, []).append(value & 1)
-        out_nets = impl.mapping.outputs
-        next_code = 0
-        for i in range(encoding.width):
-            if nets[out_nets[f"ns{i}"]]:
-                next_code |= 1 << i
-        code = next_code
-    return columns
+    _, _, nets = net_words(impl, stimulus)
+    return {name: unpack_word(word, len(stimulus)) for name, word in nets.items()}
 
 
 def fsm_trace_columns(trace) -> Dict[str, List[int]]:

@@ -7,7 +7,9 @@ compaction), the optional external Moore output LUTs, and the optional
 idle-state enable logic.  :meth:`RomFsmImplementation.run` is the
 cycle-accurate model used both for equivalence checking against the
 reference FSM and for extracting the switching activities the power
-estimator consumes.
+estimator consumes.  It is the one simulator of this implementation:
+it evaluates the whole stimulus as packed words and verifies itself
+against the programmed ROM words, raising on any disagreement.
 
 Output timing note: outputs stored in the memory word are *registered*
 (they appear in the BRAM output latch at the clock edge that consumes
@@ -20,13 +22,14 @@ cases — which is what the equivalence tests compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch.bram import BlockRam, BramConfig
 from repro.arch.device import Utilization
 from repro.arch.memblock import VIRTEX2_BRAM, Virtex2BramModel
 from repro.fsm.encoding import StateEncoding
 from repro.fsm.machine import FSM, FsmError
+from repro.fsm.simulate import divergence
 from repro.logic.lutmap import LutMapping
 from repro.romfsm.clock_control import ClockControl
 from repro.romfsm.compaction import ColumnCompaction
@@ -159,133 +162,30 @@ class RomFsmImplementation:
     # Behaviour
     # ------------------------------------------------------------------
 
-    def _mux_values(
-        self, state_code: int, input_bits: int
-    ) -> Tuple[int, Dict[str, int]]:
-        """Compacted input value and all mux-net values for one cycle."""
-        assert self.mux_mapping is not None and self.compaction is not None
-        values: Dict[str, int] = {}
-        for b in range(self.encoding.width):
-            values[self.encoding.bit_name(b)] = (state_code >> b) & 1
-        for i in range(self.fsm.num_inputs):
-            values[f"in{i}"] = (input_bits >> i) & 1
-        nets = self.mux_mapping.evaluate_all_nets(values)
-        out_nets = self.mux_mapping.outputs
-        compacted = 0
-        for j in range(self.compaction.width):
-            if nets[out_nets[f"mux{j}"]]:
-                compacted |= 1 << j
-        return compacted, nets
-
-    def _moore_values(self, state_code: int) -> Tuple[int, Dict[str, int]]:
-        assert self.moore_output_mapping is not None
-        values = {
-            self.encoding.bit_name(b): (state_code >> b) & 1
-            for b in range(self.encoding.width)
-        }
-        nets = self.moore_output_mapping.evaluate_all_nets(values)
-        out_nets = self.moore_output_mapping.outputs
-        out = 0
-        for o in range(self.fsm.num_outputs):
-            if nets[out_nets[f"out{o}"]]:
-                out |= 1 << o
-        return out, nets
-
-    def _control_values(
-        self, state_code: int, input_bits: int, latched_out: int
-    ) -> Tuple[int, Dict[str, int]]:
-        assert self.clock_control is not None
-        cc = self.clock_control
-        values: Dict[str, int] = {}
-        for b in range(self.encoding.width):
-            values[self.encoding.bit_name(b)] = (state_code >> b) & 1
-        for i in range(self.fsm.num_inputs):
-            values[f"in{i}"] = (input_bits >> i) & 1
-        if cc.compares_outputs:
-            for o in range(self.fsm.num_outputs):
-                values[f"fb_out{o}"] = (latched_out >> o) & 1
-        nets = cc.mapping.evaluate_all_nets(values)
-        return nets[cc.mapping.outputs["en"]], nets
-
-    def step(
-        self, state_code: int, latched_out: int, input_bits: int
-    ) -> Tuple[int, int, int, int]:
-        """One clock edge without statistics.
-
-        Returns ``(next_state_code, next_latched_out, observed_output, en)``.
-        """
-        if self.compaction is not None:
-            compacted, _ = self._mux_values(state_code, input_bits)
-        else:
-            compacted = input_bits
-        addr = self.layout.make_address(state_code, compacted)
-        en = 1
-        if self.clock_control is not None:
-            en, _ = self._control_values(state_code, input_bits, latched_out)
-        if self.moore_output_mapping is not None:
-            observed, _ = self._moore_values(state_code)
-        if en:
-            word = self._rom.peek(addr)
-            next_code, out_field = self.layout.split_word(word)
-        else:
-            next_code, out_field = state_code, latched_out
-        if self.moore_output_mapping is None:
-            observed = out_field
-        return next_code, out_field, observed, en
-
     def run(self, stimulus: List[int], collect_nets: bool = True) -> RomTrace:
         """Simulate from reset; counts per-signal toggles for the power model.
 
         Word-parallel: the state/output trajectory is first derived from
         the STG (table lookups), the mux/Moore/enable LUT mappings are
-        then evaluated over the whole trace as packed big-int words, and
-        the trajectory is verified cycle by cycle against the actual ROM
-        words and enable decisions.  Any disagreement (or an out-of-range
-        input vector) drops to :meth:`run_reference`, the per-cycle
-        oracle, so behaviour — including BRAM statistics and error
-        semantics — is always identical to the reference evaluator.  A
-        codegen failure takes the same oracle and is counted in
-        ``codegen.stats().fallbacks``.
-        """
-        if not stimulus:
-            return self.run_reference(stimulus, collect_nets)
-        limit = 1 << self.fsm.num_inputs
-        for input_bits in stimulus:
-            if not 0 <= input_bits < limit:
-                # The reference reproduces the partial-run statistics and
-                # the exact ValueError the per-cycle loop raises.
-                return self.run_reference(stimulus, collect_nets)
-        try:
-            result = self._run_words(stimulus, collect_nets)
-        except Exception:
-            codegen.count_fallback("rom")
-            result = None
-        if result is None:
-            return self.run_reference(stimulus, collect_nets)
-        trace, last_read = result
-        # Trajectory confirmed: commit the BRAM statistics the per-cycle
-        # clock() calls would have accumulated.
-        self._rom.total_edges += trace.num_cycles
-        self._rom.enabled_edges += trace.enabled_edges
-        if last_read is not None:
-            self._rom.output = last_read
-        return trace
-
-    def _run_words(
-        self, stimulus: List[int], collect_nets: bool
-    ) -> Optional[Tuple[RomTrace, Optional[int]]]:
-        """The word-parallel evaluation behind :meth:`run`.
-
-        Returns the trace and the last word read from the ROM, or
-        ``None`` when the ROM disagrees with the STG-derived trajectory.
-        Raises on any codegen failure.  Touches no BRAM state: the
-        caller commits the statistics once the result is final.
+        then evaluated over the whole trace as packed big-int words
+        (:mod:`repro.synth.codegen`), and the trajectory is verified
+        against the actual ROM words and enable decisions.  A ROM that
+        disagrees with its STG raises
+        :func:`~repro.fsm.simulate.divergence` at the first diverging
+        cycle.  An out-of-range input vector raises ``ValueError``.
+        Either error leaves the BRAM statistics untouched; a verified
+        run commits the clock edges, enabled edges and latched word.
         """
         num_cycles = len(stimulus)
         fsm = self.fsm
         encoding = self.encoding
         layout = self.layout
         width = encoding.width
+
+        limit = 1 << fsm.num_inputs
+        for input_bits in stimulus:
+            if not 0 <= input_bits < limit:
+                raise ValueError(f"input vector {input_bits:#x} out of range")
 
         # Trajectory guess from the STG; verified below against the ROM.
         state = fsm.reset_state
@@ -364,8 +264,8 @@ class RomFsmImplementation:
 
         # Replay the memory reads: verify the guessed trajectory against
         # the actual programmed words with the compiled replay for this
-        # word layout.  By induction, a full match means the per-cycle
-        # evaluator would compute exactly these states, outputs and net
+        # word layout.  By induction, a full match means a per-cycle
+        # evaluation would compute exactly these states, outputs and net
         # values.
         clocked = self.clock_control is not None
         replay = codegen.compiled_replay(clocked, layout.output_bits)
@@ -376,13 +276,13 @@ class RomFsmImplementation:
             )
         else:
             full_state_words = out_bit_words = []
-        outcome = replay(
+        enabled, last_read, diverged_at = replay(
             self._rom.words, addrs, codes, ref_outs,
             en_word, mask, full_state_words, out_bit_words,
         )
-        if outcome is None:
-            return None
-        enabled, last_read = outcome
+        if diverged_at is not None:
+            label = "ROM+clock-control" if clocked else "ROM"
+            raise divergence(fsm, label, diverged_at)
 
         signal_toggles: Dict[str, int] = {}
 
@@ -410,6 +310,12 @@ class RomFsmImplementation:
                         counts[name] = toggles
             return counts
 
+        # Trajectory confirmed: commit the BRAM statistics that clocking
+        # the block edge by edge would have accumulated.
+        self._rom.total_edges += num_cycles
+        self._rom.enabled_edges += enabled
+        if last_read is not None:
+            self._rom.output = last_read
         return RomTrace(
             num_cycles=num_cycles,
             output_stream=observed_list,
@@ -421,102 +327,6 @@ class RomFsmImplementation:
             mux_toggles=net_toggle_counts(mux_nets),
             moore_toggles=net_toggle_counts(moore_nets),
             control_toggles=net_toggle_counts(ctl_nets),
-            enabled_edges=enabled,
-        ), last_read
-
-    def run_reference(
-        self, stimulus: List[int], collect_nets: bool = True
-    ) -> RomTrace:
-        """Per-cycle reference evaluator (the oracle for equivalence tests)."""
-        state_code = self.encoding.encode(self.fsm.reset_state)
-        latched_out = 0
-
-        signal_toggles: Dict[str, int] = {}
-        mux_toggles: Dict[str, int] = {}
-        moore_toggles: Dict[str, int] = {}
-        control_toggles: Dict[str, int] = {}
-        prev: Dict[str, Dict[str, int]] = {}
-        prev_bits: Dict[str, int] = {}
-
-        def count_bits(tag: str, width: int, value: int) -> None:
-            old = prev_bits.get(tag)
-            if old is not None:
-                changed = old ^ value
-                for b in range(width):
-                    if (changed >> b) & 1:
-                        key = f"{tag}{b}"
-                        signal_toggles[key] = signal_toggles.get(key, 0) + 1
-            prev_bits[tag] = value
-
-        def count_nets(
-            store: Dict[str, int], key: str, nets: Dict[str, int]
-        ) -> None:
-            old = prev.get(key)
-            if old is not None:
-                for name, value in nets.items():
-                    if old.get(name) != value:
-                        store[name] = store.get(name, 0) + 1
-            prev[key] = nets
-
-        outputs: List[int] = []
-        states: List[str] = [self.fsm.reset_state]
-        enabled = 0
-
-        for input_bits in stimulus:
-            limit = 1 << self.fsm.num_inputs if self.fsm.num_inputs else 1
-            if not 0 <= input_bits < max(limit, 1):
-                raise ValueError(f"input vector {input_bits:#x} out of range")
-            if self.compaction is not None:
-                compacted, mux_nets = self._mux_values(state_code, input_bits)
-                if collect_nets:
-                    count_nets(mux_toggles, "mux", mux_nets)
-            else:
-                compacted = input_bits
-            addr = self.layout.make_address(state_code, compacted)
-            en = 1
-            if self.clock_control is not None:
-                en, ctl_nets = self._control_values(
-                    state_code, input_bits, latched_out
-                )
-                if collect_nets:
-                    count_nets(control_toggles, "ctl", ctl_nets)
-            observed: Optional[int] = None
-            if self.moore_output_mapping is not None:
-                observed, moore_nets = self._moore_values(state_code)
-                if collect_nets:
-                    count_nets(moore_toggles, "moore", moore_nets)
-
-            count_bits("in", self.fsm.num_inputs, input_bits)
-            count_bits("addr", self.layout.addr_bits, addr)
-            count_bits("en", 1, en)
-
-            word_after = self._rom.clock(addr, bool(en))
-            if en:
-                enabled += 1
-                next_code, out_field = self.layout.split_word(word_after)
-            else:
-                next_code, out_field = state_code, latched_out
-            count_bits(
-                "q",
-                self.layout.data_bits,
-                self.layout.make_word(next_code, out_field if self.layout.output_bits else 0),
-            )
-
-            if observed is None:
-                observed = out_field
-            outputs.append(observed)
-            state_code = next_code
-            latched_out = out_field
-            states.append(self.encoding.decode(state_code))
-
-        return RomTrace(
-            num_cycles=len(stimulus),
-            output_stream=outputs,
-            state_stream=states,
-            signal_toggles=signal_toggles,
-            mux_toggles=mux_toggles,
-            moore_toggles=moore_toggles,
-            control_toggles=control_toggles,
             enabled_edges=enabled,
         )
 

@@ -31,12 +31,10 @@ bounded set of compilations.
 Contract with the callers (:func:`repro.synth.netsim.simulate_ff_netlist`,
 :meth:`repro.romfsm.impl.RomFsmImplementation.run`): they verify the
 word-parallel result against the netlist's own next-state words / the
-actual ROM words and drop to the per-cycle oracle on any disagreement.
-Any failure *inside* codegen (generation, compilation, execution)
-raises; the caller then takes the same per-cycle oracle and records the
-event with :func:`count_fallback` (:attr:`CodegenStats.fallbacks`).
-Streams, toggle counts and BRAM edge statistics are therefore always
-those of the reference evaluators.
+actual ROM words and raise at the first disagreement.  Any failure
+*inside* codegen (generation, compilation, execution) propagates to
+them and on to their callers; there is no second evaluator to fall
+back to.
 
 The ROM replay loop gets the same treatment: :func:`compiled_replay`
 emits a verification function specialized to the ROM word layout
@@ -57,7 +55,6 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
-from repro.logutil import get_logger, kv
 from repro.synth.wordsim import pack_bit_column, popcount
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "CompiledMapping",
     "compile_mapping",
     "compiled_replay",
-    "count_fallback",
     "evaluate_words",
     "generate_source",
     "mapping_fingerprint",
@@ -79,8 +75,6 @@ __all__ = [
 # generated source and its code object (tens of KB for a typical
 # netlist), so the cap bounds a long-lived worker's memory.
 MEMO_MAX_ENTRIES = 256
-
-logger = get_logger("synth.codegen")
 
 _FN_NAME = "_netfn"
 _REPLAY_NAME = "_replay"
@@ -95,10 +89,9 @@ _REPLAY_NAME = "_replay"
 class CodegenStats:
     """Process-wide codegen counters (monotonic since start or reset).
 
-    ``fallbacks`` counts simulations where codegen itself raised and the
-    per-cycle oracle served the run instead.  A verification mismatch
-    (a netlist that disagrees with its own STG) also takes the oracle
-    but is not a codegen failure and is not counted here.
+    Nothing increments ``fallbacks``: a codegen failure propagates
+    instead of falling back to a per-cycle evaluator.  The field stays
+    only because the benchmark harness reads it as ``synth.fallbacks``.
     """
 
     compiles: int = 0
@@ -121,16 +114,6 @@ def stats() -> CodegenStats:
 def reset_stats() -> None:
     global _stats
     _stats = CodegenStats()
-
-
-def count_fallback(sim: str) -> None:
-    """Record a codegen failure that the per-cycle oracle absorbed.
-
-    Call from the ``except`` block that caught it: the traceback is
-    logged, since a fallback on a supported netlist is a codegen bug.
-    """
-    _stats.fallbacks += 1
-    logger.warning(kv("codegen_fallback", sim=sim), exc_info=True)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +309,7 @@ def evaluate_words(
 
     Same inputs, same returned dict and same ``KeyError`` on a missing
     input word as :func:`~repro.synth.wordsim.evaluate_mapping_words`.
-    Any codegen failure raises; the simulators catch it and run the
-    per-cycle oracle instead.
+    Any codegen failure raises, and the simulators let it propagate.
     """
     return compile_mapping(mapping)(input_words, mask)
 
@@ -378,9 +360,10 @@ def _generate_replay_source(clocked: bool, output_bits: int) -> str:
     """Emit the ROM replay verifier for one word layout.
 
     The function checks the STG-derived trajectory against the actual
-    programmed words and returns ``(enabled_edges, last_read_word)``, or
-    ``None`` on the first disagreement (the caller then re-runs with the
-    per-cycle oracle).  ``output_bits`` is burned in as a literal; the
+    programmed words and returns ``(enabled_edges, last_read_word,
+    diverged_at)``: ``diverged_at`` is ``None`` when every cycle agrees,
+    else the first cycle that disagrees (the counts are then not to be
+    used).  ``output_bits`` is burned in as a literal; the
     expected word for an enabled edge ``k`` is
     ``codes[k+1] << output_bits | ref_outs[k]``, which equals the stored
     word exactly when both the next-state and output fields match.
@@ -392,39 +375,44 @@ def _generate_replay_source(clocked: bool, output_bits: int) -> str:
         # EN tied high: one list compare, no per-cycle Python.
         lines += [
             "    n = len(addrs)",
-            f"    if [rom_words[a] for a in addrs] != [{expected} for k in range(n)]:",
-            "        return None",
-            "    return (n, rom_words[addrs[n - 1]] if n else None)",
+            "    got = [rom_words[a] for a in addrs]",
+            f"    want = [{expected} for k in range(n)]",
+            "    if got != want:",
+            "        for k in range(n):",
+            "            if got[k] != want[k]:",
+            "                return (0, None, k)",
+            "    return (n, got[n - 1] if n else None, None)",
         ]
         return "\n".join(lines) + "\n"
     lines += [
         "    disabled = ~en_word & mask",
+        "    bad = 0",
         "    if disabled:",
         # A disabled edge must hold the state: any state-bit change on a
         # disabled cycle contradicts the latch.
-        "        change = 0",
         "        for w in state_words:",
-        "            change |= w ^ (w >> 1)",
-        "        if change & disabled:",
-        "            return None",
+        "            bad |= w ^ (w >> 1)",
         # ... and hold the latched output: bit k of (w ^ (w << 1)) is
         # ref_outs[k] ^ ref_outs[k-1] (with the k=0 latch reset to 0).
         "        for w in out_words:",
-        "            if (w ^ (w << 1)) & disabled:",
-        "                return None",
+        "            bad |= w ^ (w << 1)",
+        "        bad &= disabled",
+        "    first_bad = bad & -bad",
         "    enabled = 0",
         "    last = None",
-        "    bits = en_word & mask",
+        # Check only the enabled edges before the first bad disabled
+        # edge, so the earliest divergence is the one reported.
+        "    bits = en_word & mask & (first_bad - 1 if bad else mask)",
         "    while bits:",
         "        low = bits & -bits",
         "        bits ^= low",
         "        k = low.bit_length() - 1",
         "        word = rom_words[addrs[k]]",
         f"        if word != {expected}:",
-        "            return None",
+        "            return (enabled, last, k)",
         "        enabled += 1",
         "        last = word",
-        "    return (enabled, last)",
+        "    return (enabled, last, first_bad.bit_length() - 1 if bad else None)",
     ]
     return "\n".join(lines) + "\n"
 

@@ -15,13 +15,14 @@ Pipeline (mirroring the paper's SIS -> blif -> Synplify -> mapped flow):
 
 The resulting :class:`FfImplementation` carries everything the area,
 timing and power models need: the LUT netlist with truth tables and
-levels, the FF count, and a cycle-accurate simulator hook.
+levels and the FF count.  :func:`repro.synth.netsim.simulate_ff_netlist`
+simulates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.arch.device import Utilization
 from repro.fsm.encoding import StateEncoding, make_encoding
@@ -73,43 +74,6 @@ class FfImplementation:
     @property
     def next_state_names(self) -> List[str]:
         return [f"ns{i}" for i in range(self.encoding.width)]
-
-    def combinational_inputs(self, state_code: int, input_bits: int) -> Dict[str, int]:
-        """Input-net values for one cycle of netlist evaluation."""
-        values: Dict[str, int] = {}
-        for i in range(self.encoding.width):
-            values[self.encoding.bit_name(i)] = (state_code >> i) & 1
-        for i in range(self.fsm.num_inputs):
-            values[f"in{i}"] = (input_bits >> i) & 1
-        return values
-
-    def step(self, state_code: int, input_bits: int) -> Tuple[int, int]:
-        """One clock cycle: returns (next_state_code, output_bits)."""
-        nets = self.mapping.evaluate(self.combinational_inputs(state_code, input_bits))
-        next_code = 0
-        for i in range(self.encoding.width):
-            if nets[f"ns{i}"]:
-                next_code |= 1 << i
-        output = 0
-        for i in range(self.fsm.num_outputs):
-            if nets[f"out{i}"]:
-                output |= 1 << i
-        return next_code, output
-
-    def run(self, stimulus: List[int]) -> Tuple[List[str], List[int]]:
-        """Simulate from reset; returns (visited states, output stream).
-
-        States are decoded back to names for direct comparison with the
-        reference :class:`~repro.fsm.simulate.FsmSimulator` trace.
-        """
-        code = self.encoding.encode(self.fsm.reset_state)
-        states = [self.fsm.reset_state]
-        outputs: List[int] = []
-        for input_bits in stimulus:
-            code, out = self.step(code, input_bits)
-            outputs.append(out)
-            states.append(self.encoding.decode(code))
-        return states, outputs
 
 
 def _state_cube(encoding: StateEncoding, state: str, n_vars: int,

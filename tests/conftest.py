@@ -1,11 +1,10 @@
 """Suite-wide fixtures.
 
 The compiled-simulation engine keeps process-global counters
-(:func:`repro.synth.codegen.stats`): compiles, cache hits, fallbacks.
-Several suites assert on them (``fallbacks == 0`` is the "codegen never
-silently degrades" invariant), which only means anything if each test
-observes its *own* activity.  Reset the counters before every test so
-assertions never depend on suite order or ``-k`` selections.
+(:func:`repro.synth.codegen.stats`): compiles and memo hits.  Several
+suites assert on them, which only means anything if each test observes
+its *own* activity.  Reset the counters before every test so assertions
+never depend on suite order or ``-k`` selections.
 
 Likewise :func:`repro.logutil.configure_logging`, which every in-process
 CLI run calls, installs a handler on the ``repro`` logger and stops it

@@ -6,6 +6,7 @@ from repro.fsm.kiss import parse_kiss
 from repro.fsm.machine import FSM, FsmError
 from repro.fsm.simulate import FsmSimulator, random_stimulus
 from repro.romfsm.mapper import map_fsm_to_rom
+from tests.reference_sim import step
 
 DETECTOR = """
 .i 1
@@ -64,7 +65,7 @@ class TestRun:
         state, latched = 0, 0
         outputs = []
         for bit in [0, 1, 0, 1]:
-            state, latched, out, en = impl.step(state, latched, bit)
+            state, latched, out, en = step(impl, state, latched, bit)
             assert en == 1
             outputs.append(out)
         assert outputs == FsmSimulator(detector).run([0, 1, 0, 1]).outputs

@@ -2,11 +2,11 @@
 
 :meth:`RomFsmImplementation.run` guesses the trajectory from the STG,
 evaluates the mux/Moore/enable mappings as packed words and replays the
-ROM against the guess; :meth:`run_reference` is the retained per-cycle
-evaluator.  Every observable — output and state streams, top-level
-signal toggles, internal net toggles of all three auxiliary mappings,
-and the mutable BRAM statistics (clock edges, enabled edges, latched
-output word) — must agree for every mapper configuration: plain,
+ROM against the guess; :func:`tests.reference_sim.run_reference` is
+the per-cycle oracle.  Every observable — output and state streams,
+top-level signal toggles, internal net toggles of all three auxiliary
+mappings, and the mutable BRAM statistics (clock edges, enabled edges,
+latched output word) — must agree for every mapper configuration: plain,
 column-compacted, clock-controlled, Moore or Mealy output placement.
 """
 
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bench.generator import generate_fsm
 from repro.fsm.simulate import idle_biased_stimulus, random_stimulus
 from repro.romfsm.mapper import map_fsm_to_rom
+from tests.reference_sim import run_reference
 from tests.romfsm.test_equivalence_properties import _make_spec, spec_strategy
 
 SETTINGS = settings(max_examples=10, deadline=None)
@@ -47,7 +48,7 @@ def run_both(fsm, stim, collect_nets=True, **mapper_kwargs):
     fast_impl = map_fsm_to_rom(fsm, **mapper_kwargs)
     ref_impl = map_fsm_to_rom(fsm, **mapper_kwargs)
     fast = fast_impl.run(stim, collect_nets=collect_nets)
-    ref = ref_impl.run_reference(stim, collect_nets=collect_nets)
+    ref = run_reference(ref_impl, stim, collect_nets=collect_nets)
     assert_rom_traces_equal(fast, ref)
     assert fast_impl._rom.total_edges == ref_impl._rom.total_edges
     assert fast_impl._rom.enabled_edges == ref_impl._rom.enabled_edges
@@ -102,7 +103,9 @@ def test_out_of_range_input_matches_reference_error():
     with pytest.raises(ValueError):
         fast_impl.run(stim)
     with pytest.raises(ValueError):
-        ref_impl.run_reference(stim)
-    # Partial statistics up to the failing cycle must also agree.
-    assert fast_impl._rom.total_edges == ref_impl._rom.total_edges
-    assert fast_impl._rom.enabled_edges == ref_impl._rom.enabled_edges
+        run_reference(ref_impl, stim)
+    # The oracle clocks up to the failing cycle; run checks the whole
+    # stimulus first and leaves the block's statistics untouched.
+    assert ref_impl._rom.total_edges == 2
+    assert fast_impl._rom.total_edges == 0
+    assert fast_impl._rom.enabled_edges == 0

@@ -6,8 +6,8 @@ straight-line big-int function and memoizes it in process;
 tests pin the contract: the compiled function equals the reference
 interpreter :func:`~repro.synth.wordsim.evaluate_mapping_words`, every
 trace equals the per-cycle oracle's, compilation happens once per
-netlist, the memo stays bounded, the fallback counter stays at zero on
-the supported shapes, and a codegen failure is served by the oracle.
+netlist, the memo stays bounded, and the fallback counter stays at
+zero.
 """
 
 import pytest
@@ -20,11 +20,9 @@ from repro.logic.lutmap import LutMapping, MappedLut
 from repro.logic.truthtable import TruthTable
 from repro.synth import codegen
 from repro.synth.ff_synth import synthesize_ff
-from repro.synth.netsim import (
-    simulate_ff_netlist,
-    simulate_ff_netlist_reference,
-)
+from repro.synth.netsim import simulate_ff_netlist
 from repro.synth.wordsim import evaluate_mapping_words, pack_column
+from tests.reference_sim import simulate_ff_netlist_reference
 from tests.romfsm.test_equivalence_properties import _make_spec, spec_strategy
 
 SETTINGS = settings(max_examples=10, deadline=None)
@@ -120,19 +118,6 @@ class TestEngineDispatch:
         assert second.compiles == first.compiles
         assert second.memo_hits > first.memo_hits
         assert second.fallbacks == 0
-
-    def test_compile_failure_is_served_by_the_oracle(self, monkeypatch):
-        fsm = generate_fsm(_make_spec(8, 3, 3, 0, 2, 0.5, 0.35, False, seed=4))
-        impl = synthesize_ff(fsm)
-        stim = random_stimulus(fsm.num_inputs, 150, seed=2)
-
-        def broken(mapping):
-            raise RuntimeError("injected compile failure")
-
-        monkeypatch.setattr(codegen, "compile_mapping", broken)
-        trace = simulate_ff_netlist(impl, stim)
-        assert codegen.stats().fallbacks == 1
-        assert_traces_equal(trace, simulate_ff_netlist_reference(impl, stim))
 
 
 def _tiny_mapping(n: int) -> LutMapping:

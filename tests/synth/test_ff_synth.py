@@ -107,10 +107,10 @@ class TestResources:
         fsm = parse_kiss(DETECTOR, "det")
         impl = synthesize_ff(fsm)
         stim = random_stimulus(1, 100, seed=1)
-        states, outputs = impl.run(stim)
+        trace = simulate_ff_netlist(impl, stim)
         ref = FsmSimulator(fsm).run(stim)
-        assert outputs == ref.outputs
-        assert states == ref.states
+        assert trace.output_stream == ref.outputs
+        assert trace.state_stream == ref.states
 
 
 class TestInternals:

@@ -2,8 +2,8 @@
 
 :func:`simulate_ff_netlist` derives the trajectory at the STG level and
 evaluates every net over the whole trace as packed words;
-:func:`simulate_ff_netlist_reference` is the retained per-cycle
-evaluator.  For random machines and stimulus of assorted lengths
+:func:`tests.reference_sim.simulate_ff_netlist_reference` is the
+per-cycle oracle.  For random machines and stimulus of assorted lengths
 (including the word-packing edge cases 0/1/2 cycles and lengths around
 and beyond typical chunk sizes) every observable — output stream, state
 stream, per-net toggle counts and flip-flop toggles — must agree.
@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 from repro.bench.generator import generate_fsm
 from repro.fsm.simulate import random_stimulus
 from repro.synth.ff_synth import synthesize_ff
-from repro.synth.netsim import (
-    simulate_ff_netlist,
-    simulate_ff_netlist_reference,
-)
+from repro.synth.netsim import simulate_ff_netlist
+from tests.reference_sim import simulate_ff_netlist_reference
 from tests.romfsm.test_equivalence_properties import _make_spec, spec_strategy
 
 SETTINGS = settings(max_examples=15, deadline=None)

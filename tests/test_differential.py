@@ -25,6 +25,7 @@ drives the enable/hold path of clock control).
 """
 
 import copy
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -33,9 +34,16 @@ from repro.bench.generator import GeneratorSpec, generate_fsm
 from repro.fsm.machine import FSM, FsmError, Transition
 from repro.fsm.simulate import FsmSimulator, idle_biased_stimulus, random_stimulus
 from repro.logic.cube import Cube
+from repro.logic.truthtable import TruthTable
 from repro.romfsm.mapper import map_fsm_to_rom
+from repro.synth import codegen
 from repro.synth.ff_synth import synthesize_ff
-from repro.synth.netsim import simulate_ff_netlist, simulate_ff_netlist_reference
+from repro.synth.netsim import simulate_ff_netlist
+from tests.reference_sim import (
+    combinational_inputs,
+    run_reference,
+    simulate_ff_netlist_reference,
+)
 from tests.romfsm.test_series_joining import wide_dense_machine
 
 WIDTHS = [0, 1, 2, 3, 17, 64, 65, 200]
@@ -161,11 +169,6 @@ def rom_impl(key: str, config: str):
     return map_fsm_to_rom(machine(key), **CONFIGS[config])
 
 
-def fresh(impl):
-    """A private copy: a ROM run moves the block's edge statistics."""
-    return copy.deepcopy(impl)
-
-
 def stimuli(key: str, cycles: int):
     fsm = machine(key)
     uniform = random_stimulus(fsm.num_inputs, cycles, seed=cycles)
@@ -200,9 +203,10 @@ def bram_stats(impl):
 
 
 def check_rom(impl, stimulus, reference, collect_nets=True) -> None:
-    fast_impl, oracle_impl = fresh(impl), fresh(impl)
+    # Private copies: a ROM run moves the block's edge statistics.
+    fast_impl, oracle_impl = copy.deepcopy(impl), copy.deepcopy(impl)
     trace = fast_impl.run(stimulus, collect_nets=collect_nets)
-    oracle = oracle_impl.run_reference(stimulus, collect_nets=collect_nets)
+    oracle = run_reference(oracle_impl, stimulus, collect_nets=collect_nets)
     assert trace.output_stream == reference.outputs
     assert trace.state_stream == reference.states
     assert trace.num_cycles == oracle.num_cycles
@@ -280,3 +284,111 @@ def test_conflicting_overlap_is_rejected_by_both_implementations():
         synthesize_ff(fsm)
     with pytest.raises(FsmError):
         map_fsm_to_rom(fsm)
+
+
+# ----------------------------------------------------------------------
+# A simulator that disagrees with its STG raises
+# ----------------------------------------------------------------------
+#
+# Each case mutates a freshly mapped implementation so that it first
+# disagrees with the STG at a known cycle, and expects the simulation to
+# name that cycle instead of returning a trace.
+
+MUTATION_KEY = "g2"
+MUTATION_CYCLES = 200
+
+
+def latest_first_use(values):
+    """The latest cycle on which some value appears for the first time."""
+    first = {}
+    for k, value in enumerate(values):
+        first.setdefault(value, k)
+    return max(first.values())
+
+
+def test_flipped_rom_word_raises_at_its_first_read():
+    fsm = machine(MUTATION_KEY)
+    impl = map_fsm_to_rom(fsm)
+    assert impl.compaction is None  # the address is (state, raw inputs)
+    stimulus = stimuli(MUTATION_KEY, MUTATION_CYCLES)["uniform"]
+    reference = FsmSimulator(fsm).run(stimulus)
+    addrs = [
+        impl.layout.make_address(impl.encoding.encode(state), bits)
+        for state, bits in zip(reference.states, stimulus)
+    ]
+    cycle = latest_first_use(addrs)
+    assert cycle > 0
+    impl.contents[addrs[cycle]] ^= 1
+    impl._rom.load(impl.contents)
+
+    pattern = rf"{MUTATION_KEY}: ROM .* at cycle {cycle}$"
+    with pytest.raises(AssertionError, match=pattern):
+        impl.run(stimulus)
+    assert bram_stats(impl) == (0, 0, 0)
+
+
+def test_flipped_ns_lut_bit_raises_at_its_first_use():
+    fsm = machine(MUTATION_KEY)
+    impl = synthesize_ff(fsm)
+    stimulus = stimuli(MUTATION_KEY, MUTATION_CYCLES)["uniform"]
+    reference = FsmSimulator(fsm).run(stimulus)
+    # Net values of the unmutated netlist along the reference trajectory.
+    nets = [
+        impl.mapping.evaluate_all_nets(
+            combinational_inputs(impl, impl.encoding.encode(state), bits)
+        )
+        for state, bits in zip(reference.states, stimulus)
+    ]
+    luts = {lut.name: lut for lut in impl.mapping.luts}
+    # Per ns* LUT, the truth-table row each cycle reads; mutate the row
+    # that is first read latest.
+    candidates = []
+    for name in impl.next_state_names:
+        lut = luts.get(impl.mapping.outputs[name])
+        if lut is not None:
+            rows = [
+                sum(n[src] << i for i, src in enumerate(lut.input_nets))
+                for n in nets
+            ]
+            cycle = latest_first_use(rows)
+            candidates.append((cycle, rows[cycle], lut))
+    cycle, row, lut = max(candidates, key=lambda c: c[0])
+    assert cycle > 0
+    index = impl.mapping.luts.index(lut)
+    impl.mapping.luts[index] = dataclasses.replace(
+        lut, table=TruthTable(lut.table.n_inputs, lut.table.bits ^ (1 << row))
+    )
+
+    pattern = rf"{MUTATION_KEY}: FF .* at cycle {cycle}$"
+    with pytest.raises(AssertionError, match=pattern):
+        simulate_ff_netlist(impl, stimulus)
+
+
+@pytest.mark.parametrize("implementation", ["ff", "rom"])
+def test_codegen_failure_propagates(implementation, monkeypatch):
+    fsm = machine(MUTATION_KEY)
+    stimulus = stimuli(MUTATION_KEY, MUTATION_CYCLES)["uniform"]
+    # Clock control gives the ROM a LUT mapping to compile.
+    ff = synthesize_ff(fsm)
+    rom = map_fsm_to_rom(fsm, clock_control=True)
+
+    def broken(mapping):
+        raise RuntimeError("injected compile failure")
+
+    monkeypatch.setattr(codegen, "compile_mapping", broken)
+    with pytest.raises(RuntimeError, match="injected compile failure"):
+        if implementation == "ff":
+            simulate_ff_netlist(ff, stimulus)
+        else:
+            rom.run(stimulus)
+    assert codegen.stats().fallbacks == 0
+    assert bram_stats(rom) == (0, 0, 0)
+
+
+def test_out_of_range_input_raises_before_any_statistic():
+    fsm = machine(MUTATION_KEY)
+    impl = map_fsm_to_rom(fsm)
+    stimulus = [1, 0, 1 << fsm.num_inputs, 0]
+    with pytest.raises(ValueError, match="out of range"):
+        impl.run(stimulus)
+    assert bram_stats(impl) == (0, 0, 0)
