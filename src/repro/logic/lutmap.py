@@ -1,10 +1,11 @@
 """K-LUT technology mapping via K-feasible cut enumeration.
 
 This is a compact FlowMap-style mapper: it enumerates K-feasible cuts
-bottom-up, labels every node with its optimal mapped depth, then covers
-the network from the primary outputs, emitting one LUT per selected cut.
-Ties between equal-depth cuts are broken toward fewer leaves, which is
-the usual area heuristic.
+bottom-up (each a leaf bitmask with its arrival depth), which labels
+every node with its optimal mapped depth, then covers the network from
+the primary outputs, emitting one LUT per selected cut, and finally
+folds single-fanout LUTs into their readers.  Ties between equal-depth
+cuts are broken toward fewer leaves, which is the usual area heuristic.
 
 The mapper's output (:class:`LutMapping`) carries, for every LUT, its
 input nets, its truth table (the LUT configuration bits) and its logic
@@ -13,9 +14,12 @@ level — exactly the quantities the area, timing and power models consume.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from repro.logic.cube import _popcount
 from repro.logic.network import LogicNetwork, NodeKind
 from repro.logic.truthtable import TruthTable
 
@@ -115,100 +119,121 @@ class LutMapping:
         return counts
 
 
-Cut = FrozenSet[int]
+# One K-feasible cut of a node: its leaves as a bitmask over node ids,
+# the same leaves as a frozenset, and its arrival (the largest mapped
+# depth among the leaves; implementing the node with the cut puts it at
+# depth arrival + 1).
+Cut = Tuple[int, FrozenSet[int], int]
 
 
 def _enumerate_cuts(
     network: LogicNetwork, k: int, cut_limit: int
-) -> Dict[int, List[Cut]]:
-    """K-feasible cuts per node, pruned to ``cut_limit`` per node.
+) -> Tuple[List[List[Cut]], List[int]]:
+    """K-feasible cuts per node, pruned to ``cut_limit`` per node, and
+    each node's optimal mapped depth.
 
     Pruning keeps the cuts with the best (mapped depth, size) first, so
     the depth-optimal cut of a node — e.g. the whole 4-input cone of a
     two-level tree — is never discarded in favour of many shallow small
-    cuts.
+    cuts.  A cut that contains an already kept cut is dominated (it is
+    no shallower) and dropped.  Every list ends with the node's trivial
+    cut, which only its fanouts use; the first entry is the node's
+    depth-optimal cut.
     """
-    cuts: Dict[int, List[Cut]] = {}
-    depth: Dict[int, int] = {}
-    for nid in network.topological_order():
-        node = network.node(nid)
-        trivial: Cut = frozenset([nid])
+    cuts: List[List[Cut]] = []
+    depth: List[int] = []
+    for node in network.nodes:  # node ids are topologically ordered
+        nid = node.id
         if node.kind in _LEAF_KINDS:
-            cuts[nid] = [trivial]
-            depth[nid] = 0
+            cuts.append([(1 << nid, frozenset((nid,)), 0)])
+            depth.append(0)
             continue
-        merged: List[Cut] = []
+        # Leaf mask -> (leaves, arrival), in first-occurrence order.
+        merged: Dict[int, Tuple[FrozenSet[int], int]] = {}
         if len(node.fanins) == 1:
-            candidates = [c for c in cuts[node.fanins[0]] if len(c) <= k]
-            merged.extend(candidates)
+            for mask, leaves, arrival in cuts[node.fanins[0]]:
+                merged[mask] = (leaves, arrival)
         else:
             a, b = node.fanins
-            for ca in cuts[a]:
-                for cb in cuts[b]:
-                    union = ca | cb
-                    if len(union) <= k:
-                        merged.append(union)
-        # Drop the node's own trivial-cut leakage through unary merges.
-        merged = [c for c in merged if c != trivial]
-        if not merged:
-            merged = [frozenset(node.fanins)]
-
-        def cut_depth(cut: Cut) -> int:
-            return 1 + max(depth[leaf] for leaf in cut)
-
-        unique = sorted(set(merged), key=lambda c: (cut_depth(c), len(c)))
+            cuts_b = cuts[b]
+            for mask_a, leaves_a, arrival_a in cuts[a]:
+                for mask_b, leaves_b, arrival_b in cuts_b:
+                    mask = mask_a | mask_b
+                    if _popcount(mask) <= k and mask not in merged:
+                        merged[mask] = (
+                            leaves_a | leaves_b,
+                            arrival_a if arrival_a > arrival_b else arrival_b,
+                        )
+        # Ties in (depth, size) keep the iteration order of a set of the
+        # leaf frozensets built from a list in first-occurrence order;
+        # the mappings depend on it.  (A set built from a dict presizes
+        # its table and iterates in another order.)
+        rank = {
+            leaves: (arrival, len(leaves), mask)
+            for mask, (leaves, arrival) in merged.items()
+        }
         kept: List[Cut] = []
-        for cut in unique:
-            if not any(
-                existing < cut and cut_depth(existing) <= cut_depth(cut)
-                for existing in kept
-            ):
-                kept.append(cut)
+        for leaves in sorted(set(list(rank)), key=lambda c: rank[c][:2]):
+            arrival, _, mask = rank[leaves]
+            for kept_mask, _, _ in kept:
+                if kept_mask & mask == kept_mask:
+                    break
+            else:
+                kept.append((mask, leaves, arrival))
             if len(kept) >= cut_limit:
                 break
-        depth[nid] = cut_depth(kept[0])
-        kept.append(trivial)
-        cuts[nid] = kept
-    return cuts
+        depth.append(kept[0][2] + 1)
+        kept.append((1 << nid, frozenset((nid,)), depth[nid]))
+        cuts.append(kept)
+    return cuts, depth
+
+
+@functools.lru_cache(maxsize=None)
+def _projections(n: int) -> Tuple[int, ...]:
+    """Truth tables of the ``n`` input variables over ``2**n`` rows."""
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(n)
+    )
 
 
 def _cone_truth_table(
     network: LogicNetwork, root: int, leaves: Sequence[int]
 ) -> TruthTable:
-    """Truth table of ``root`` as a function of the cut ``leaves``."""
-    leaf_pos = {nid: i for i, nid in enumerate(leaves)}
+    """Truth table of ``root`` as a function of the cut ``leaves``.
+
+    The cone is evaluated once, on whole truth tables: each leaf starts
+    as its projection and each gate is one big-int operation.
+    """
     n = len(leaves)
-    bits = 0
-    for assignment in range(1 << n):
-        memo: Dict[int, int] = {}
+    full = (1 << (1 << n)) - 1
+    tables = dict(zip(leaves, _projections(n)))
+    nodes = network.nodes
 
-        def eval_node(nid: int) -> int:
-            if nid in memo:
-                return memo[nid]
-            if nid in leaf_pos:
-                value = (assignment >> leaf_pos[nid]) & 1
+    def table(nid: int) -> int:
+        bits = tables.get(nid)
+        if bits is None:
+            node = nodes[nid]
+            kind = node.kind
+            if kind is NodeKind.AND:
+                bits = table(node.fanins[0]) & table(node.fanins[1])
+            elif kind is NodeKind.OR:
+                bits = table(node.fanins[0]) | table(node.fanins[1])
+            elif kind is NodeKind.XOR:
+                bits = table(node.fanins[0]) ^ table(node.fanins[1])
+            elif kind is NodeKind.NOT:
+                bits = table(node.fanins[0]) ^ full
+            elif kind is NodeKind.CONST0:
+                bits = 0
+            elif kind is NodeKind.CONST1:
+                bits = full
             else:
-                node = network.node(nid)
-                if node.kind == NodeKind.CONST0:
-                    value = 0
-                elif node.kind == NodeKind.CONST1:
-                    value = 1
-                elif node.kind == NodeKind.NOT:
-                    value = eval_node(node.fanins[0]) ^ 1
-                elif node.kind == NodeKind.AND:
-                    value = eval_node(node.fanins[0]) & eval_node(node.fanins[1])
-                elif node.kind == NodeKind.OR:
-                    value = eval_node(node.fanins[0]) | eval_node(node.fanins[1])
-                elif node.kind == NodeKind.XOR:
-                    value = eval_node(node.fanins[0]) ^ eval_node(node.fanins[1])
-                else:
-                    raise ValueError(f"input node {nid} inside cut cone")
-            memo[nid] = value
-            return value
+                raise ValueError(f"input node {nid} inside cut cone")
+            tables[nid] = bits
+        return bits
 
-        if eval_node(root):
-            bits |= 1 << assignment
-    return TruthTable(n, bits)
+    return TruthTable(n, table(root))
 
 
 def _absorb_single_fanout(
@@ -220,80 +245,79 @@ def _absorb_single_fanout(
     filled LUTs; absorbing a LUT whose only reader can take over its
     inputs removes one LUT with no functional change.  Nets in
     ``protected`` (primary outputs) are kept as LUT boundaries.
+
+    ``luts`` is in topological order.  Each step absorbs the earliest
+    LUT that can be absorbed.  A merge changes only whether the reader
+    and the nets it now reads can be absorbed, so those are queued for
+    another look; every other LUT keeps the answer it had.  The reader
+    keeps its place after the absorbed LUT and its inputs, so the order
+    stays topological.
     """
     by_name: Dict[str, MappedLut] = {lut.name: lut for lut in luts}
-    changed = True
-    while changed:
-        changed = False
-        readers: Dict[str, List[str]] = {}
-        for lut in by_name.values():
-            for src in lut.input_nets:
-                readers.setdefault(src, []).append(lut.name)
-        for name, lut in list(by_name.items()):
-            if name in protected:
+    position = {lut.name: i for i, lut in enumerate(luts)}
+    readers: Dict[str, List[str]] = {}
+    for lut in luts:
+        for src in lut.input_nets:
+            readers.setdefault(src, []).append(lut.name)
+    queue = list(range(len(luts)))  # a heap of positions to look at
+    while queue:
+        name = luts[heapq.heappop(queue)].name
+        lut = by_name.get(name)
+        if lut is None or name in protected:
+            continue
+        reading = readers.get(name, [])
+        if len(reading) != 1:
+            continue
+        reader = by_name[reading[0]]
+        merged_inputs: List[str] = []
+        for src in reader.input_nets:
+            if src == name:
                 continue
-            reading = readers.get(name, [])
-            if len(reading) != 1:
-                continue
-            reader = by_name[reading[0]]
-            merged_inputs: List[str] = []
-            for src in reader.input_nets:
-                if src == name:
-                    continue
-                if src not in merged_inputs:
-                    merged_inputs.append(src)
-            for src in lut.input_nets:
-                if src not in merged_inputs:
-                    merged_inputs.append(src)
-            if len(merged_inputs) > k:
-                continue
-            pos = {net: i for i, net in enumerate(merged_inputs)}
-            child_positions = [pos[src] for src in lut.input_nets]
-            reader_sources = list(reader.input_nets)
-
-            def merged_fn(*args: int) -> int:
-                child_assign = 0
-                for i, p in enumerate(child_positions):
-                    child_assign |= (args[p] & 1) << i
-                child_val = lut.table.evaluate(child_assign)
-                reader_assign = 0
-                for i, src in enumerate(reader_sources):
-                    bit = child_val if src == name else args[pos[src]]
-                    reader_assign |= (bit & 1) << i
-                return reader.table.evaluate(reader_assign)
-
-            new_table = TruthTable.from_function(len(merged_inputs), merged_fn)
-            by_name[reader.name] = MappedLut(
-                name=reader.name,
-                input_nets=tuple(merged_inputs),
-                table=new_table,
-                level=reader.level,
-            )
-            del by_name[name]
-            changed = True
-            break  # readers map is stale; rebuild
-    # Preserve topological emission order (inputs before readers).
-    ordered: List[MappedLut] = []
-    emitted: set = set()
-    remaining = dict(by_name)
-    while remaining:
-        progressed = False
-        for name in list(remaining):
-            lut = remaining[name]
-            if all(src in emitted or src not in by_name
-                   for src in lut.input_nets):
-                ordered.append(lut)
-                emitted.add(name)
-                del remaining[name]
-                progressed = True
-        if not progressed:  # cycle cannot happen; guard anyway
-            ordered.extend(remaining.values())
-            break
-    return ordered
+            if src not in merged_inputs:
+                merged_inputs.append(src)
+        for src in lut.input_nets:
+            if src not in merged_inputs:
+                merged_inputs.append(src)
+        if len(merged_inputs) > k:
+            continue
+        # Compose the two tables over the merged inputs' projections.
+        full = (1 << (1 << len(merged_inputs))) - 1
+        word = dict(zip(merged_inputs, _projections(len(merged_inputs))))
+        word[name] = lut.table.evaluate_word(
+            [word[src] for src in lut.input_nets], full
+        )
+        new_table = TruthTable(
+            len(merged_inputs),
+            reader.table.evaluate_word(
+                [word[src] for src in reader.input_nets], full
+            ),
+        )
+        by_name[reader.name] = MappedLut(
+            name=reader.name,
+            input_nets=tuple(merged_inputs),
+            table=new_table,
+            level=reader.level,
+        )
+        del by_name[name]
+        del readers[name]
+        for src in lut.input_nets:
+            reading = readers[src]
+            reading.remove(name)
+            if reader.name not in reading:
+                reading.append(reader.name)
+        for net in [reader.name] + merged_inputs:
+            if net in by_name:
+                heapq.heappush(queue, position[net])
+    return list(by_name.values())
 
 
 def _recompute_levels(luts: List[MappedLut]) -> List[MappedLut]:
-    """Re-derive logic levels after absorption (luts in topological order)."""
+    """Set each LUT's level to one more than its deepest LUT input.
+
+    ``luts`` is in topological order; a LUT fed only by primary inputs
+    is level 1.  ``map_network`` calls this after absorption has merged
+    LUTs, ``map_truth_tables`` on LUTs emitted at level 0.
+    """
     level: Dict[str, int] = {}
     result: List[MappedLut] = []
     for lut in luts:
@@ -413,80 +437,40 @@ def map_network(
     """
     if k < 2:
         raise ValueError(f"LUT size must be at least 2, got {k}")
-    cuts = _enumerate_cuts(network, k, cut_limit)
+    cuts, depth = _enumerate_cuts(network, k, cut_limit)
+    gates = 0
+    for node in network.nodes:
+        if node.kind not in _LEAF_KINDS:
+            gates |= 1 << node.id
 
-    # Depth labelling: best achievable mapped depth per node.
-    depth: Dict[int, int] = {}
-    best_cut: Dict[int, Cut] = {}
-    for nid in network.topological_order():
-        node = network.node(nid)
-        if node.kind in _LEAF_KINDS:
-            depth[nid] = 0
-            best_cut[nid] = frozenset([nid])
+    # Cover from the outputs, one gate at a time in decreasing id order,
+    # so every reader of a gate picks its cut before the gate does.  A
+    # gate may sit one level under its most demanding reader; among its
+    # cuts that meet that required depth (its depth-optimal cut always
+    # does), pick the fewest gate leaves (each becomes a LUT of its
+    # own), then the fewest leaves, then the shallowest.
+    required: Dict[int, int] = {
+        nid: depth[nid]
+        for nid in network.outputs.values() if gates >> nid & 1
+    }
+    chosen_cut: Dict[int, FrozenSet[int]] = {}
+    for nid in range(len(depth) - 1, -1, -1):
+        allowed = required.get(nid)
+        if allowed is None:
             continue
-        best: Optional[Tuple[int, int, Cut]] = None
-        for cut in cuts[nid]:
-            if cut == frozenset([nid]):
-                continue  # a node cannot be implemented by itself
-            d = 1 + max(depth[leaf] for leaf in cut)
-            key = (d, len(cut))
-            if best is None or key < best[:2]:
-                best = (d, len(cut), cut)
-        if best is None:
-            raise RuntimeError(f"no feasible cut for node {nid}")
-        depth[nid] = best[0]
-        best_cut[nid] = best[2]
-
-    # Covering from the outputs with area recovery: among cuts that do
-    # not worsen the node's required arrival level, prefer the one whose
-    # leaves add the fewest *new* LUTs (reuse already-demanded cones).
-    required_depth: Dict[int, int] = {}
-    for nid in network.outputs.values():
-        if network.node(nid).kind not in _LEAF_KINDS:
-            prev = required_depth.get(nid)
-            required_depth[nid] = depth[nid] if prev is None else max(prev, depth[nid])
-    chosen_cut: Dict[int, Cut] = {}
-    # Process deepest-first so parents choose before children are fixed.
-    worklist = list(required_depth)
-    seen = set()
-    while worklist:
-        nid = max(worklist)
-        worklist.remove(nid)
-        if nid in seen:
-            continue
-        seen.add(nid)
-        allowed = required_depth.get(nid, depth[nid])
-        best: Optional[Tuple[int, int, int, Cut]] = None
-        for cut in cuts[nid]:
-            if cut == frozenset([nid]):
-                continue
-            d = 1 + max(depth[leaf] for leaf in cut)
-            if d > allowed:
-                continue
-            new_gates = sum(
-                1 for leaf in cut
-                if network.node(leaf).kind not in _LEAF_KINDS
-                and leaf not in seen
-            )
-            key = (new_gates, len(cut), d)
-            if best is None or key < best[:3]:
-                best = (*key, cut)
-        if best is None:
-            # Fall back to the depth-optimal cut (always feasible).
-            chosen = best_cut[nid]
-        else:
-            chosen = best[3]
-        chosen_cut[nid] = chosen
-        for leaf in chosen:
-            if network.node(leaf).kind in _LEAF_KINDS:
-                continue
-            slack_depth = required_depth.get(nid, depth[nid]) - 1
-            prev = required_depth.get(leaf)
-            required_depth[leaf] = (
-                min(prev, slack_depth) if prev is not None else slack_depth
-            )
-            if leaf not in seen:
-                worklist.append(leaf)
+        _, leaves, _ = min(
+            (cut for cut in cuts[nid][:-1] if cut[2] < allowed),
+            key=lambda cut: (
+                _popcount(cut[0] & gates), _popcount(cut[0]), cut[2]
+            ),
+        )
+        chosen_cut[nid] = leaves
+        for leaf in leaves:
+            if gates >> leaf & 1:
+                prev = required.get(leaf)
+                required[leaf] = (
+                    allowed - 1 if prev is None else min(prev, allowed - 1)
+                )
 
     luts: List[MappedLut] = []
     for nid in sorted(chosen_cut):  # node ids are topologically ordered

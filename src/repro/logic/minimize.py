@@ -6,18 +6,24 @@ EXPAND / IRREDUNDANT / REDUCE loop.  It stands in for the espresso pass
 that SIS applies to the FSM's combinational logic before technology
 mapping in the paper's experimental flow (paper Fig. 6).
 
+The loop runs on plain ``(zero_mask, one_mask)`` int pairs — the
+positional-cube encoding of :mod:`repro.logic.cube` without the object
+around it — and lists of them.  Only the public functions take and
+return :class:`~repro.logic.cube.Cover` objects.
+
 The minimizer is heuristic, as espresso is: it guarantees the result is a
 cover of the ON-set that stays inside ON ∪ DC, and it is verified for
 functional equivalence by the test-suite, but it does not guarantee
-minimality.  For the MCNC-scale FSMs in the paper (≤ ~20 input variables,
-a few hundred cubes) it runs in milliseconds.
+minimality.  The FF baseline of the nine paper machines makes about 120
+calls (up to 16 variables and a few hundred cubes) that together take
+well under a second.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.logic.cube import Cover, Cube
+from repro.logic.cube import Cover, Cube, _popcount
 
 __all__ = [
     "is_tautology",
@@ -26,32 +32,72 @@ __all__ = [
     "minimize_function",
 ]
 
-# Recursion safety valve; MCNC-scale functions stay well below this.
-_MAX_RECURSION_VARS = 64
+# One cube: (zero_mask, one_mask), bit i of each for variable i.
+Pair = Tuple[int, int]
 
 
-def _most_binate_var(cover: Cover) -> Optional[int]:
+def _by_literals(cubes: Sequence[Pair], reverse: bool = False) -> List[Pair]:
+    """``cubes`` stably sorted by bound-variable count, as
+    ``sorted(cubes, key=Cube.num_literals, reverse=reverse)`` sorts."""
+    counts = [_popcount(z ^ o) for z, o in cubes]
+    order = sorted(range(len(cubes)), key=counts.__getitem__, reverse=reverse)
+    return [cubes[i] for i in order]
+
+
+def _to_pairs(cover: Cover) -> List[Pair]:
+    return [(c.zero_mask, c.one_mask) for c in cover.cubes]
+
+
+def _to_cover(n: int, cubes: Sequence[Pair]) -> Cover:
+    return Cover._wrap(n, [Cube._raw(n, z, o) for z, o in cubes])
+
+
+def _scc(cubes: Sequence[Pair]) -> List[Pair]:
+    """Drop cubes contained in some other single cube (largest first)."""
+    if len(cubes) < 2:
+        return list(cubes)
+    kept: List[Pair] = []
+    for cube in _by_literals(cubes):
+        zero, one = cube
+        for kz, ko in kept:
+            if zero & kz == zero and one & ko == one:
+                break
+        else:
+            kept.append(cube)
+    return kept
+
+
+def _cofactor(cubes: Sequence[Pair], cube: Pair, full: int) -> List[Pair]:
+    """``cubes`` cofactored against ``cube`` (non-intersecting ones drop)."""
+    zero, one = cube
+    care = zero ^ one
+    return [
+        (z | care, o | care)
+        for z, o in cubes
+        if (zero & z) | (one & o) == full
+    ]
+
+
+def _most_binate_var(cubes: Sequence[Pair], n: int) -> Optional[int]:
     """Pick the best splitting variable for the unate recursive paradigm.
 
     Prefers the most *binate* variable (appears in both polarities in the
     most cubes); when the cover is unate, returns the most-bound variable;
     returns None when no cube binds any variable.
     """
-    n = cover.n_vars
     count0 = [0] * n
     count1 = [0] * n
-    for cube in cover.cubes:
-        care = cube.care_mask()
-        ones = cube.one_mask & care
+    for z, o in cubes:
+        care = z ^ o
+        ones = o & care
         # Iterate only the bound variables (set bits), not all n.
         while care:
             low = care & -care
             care ^= low
-            var = low.bit_length() - 1
             if ones & low:
-                count1[var] += 1
+                count1[low.bit_length() - 1] += 1
             else:
-                count0[var] += 1
+                count0[low.bit_length() - 1] += 1
     best_var = None
     best_key: Tuple[int, int] = (-1, -1)
     for var in range(n):
@@ -67,79 +113,104 @@ def _most_binate_var(cover: Cover) -> Optional[int]:
     return best_var
 
 
-def _unate_reduction_tautology(cover: Cover) -> Optional[bool]:
-    """Fast tautology special cases; None when recursion is required."""
-    if any(c.is_full() for c in cover):
+def _branch(cubes: Sequence[Pair], bit: int, value: int) -> List[Pair]:
+    """Cofactor against variable ``bit`` = ``value``, the variable raised."""
+    if value:
+        return [(z | bit, o) for z, o in cubes if o & bit]
+    return [(z, o | bit) for z, o in cubes if z & bit]
+
+
+def _tautology(cubes: Sequence[Pair], n: int) -> bool:
+    full = (1 << n) - 1
+    if (full, full) in cubes:
         return True
-    if not cover.cubes:
+    if not cubes:
         return False
-    # A unate cover is a tautology iff it contains the universal cube.
-    # (Checked above.)  Detect unateness cheaply.
-    n = cover.n_vars
+    # A unate cover is a tautology iff it contains the universal cube
+    # (checked above).  Detect unateness cheaply.
     has0 = 0
     has1 = 0
-    for cube in cover:
-        care = cube.care_mask()
-        has1 |= cube.one_mask & care
-        has0 |= care & ~cube.one_mask
+    total = 0
+    for z, o in cubes:
+        care = z ^ o
+        has1 |= o & care
+        has0 |= z & care
+        if z | o == full:
+            total += 1 << (n - _popcount(care))
     if not (has0 & has1):  # unate in every variable
         return False
     # Quick necessary condition: minterm count must reach 2**n.
-    total = sum(c.num_minterms() for c in cover)
     if total < (1 << n):
         return False
-    return None
-
-
-def _branch_cover(cover: Cover, var: int, value: int) -> Cover:
-    """Cofactor of ``cover`` against ``var = value``, ``var`` raised."""
+    var = _most_binate_var(cubes, n)
+    if var is None:
+        # No cube binds any variable: tautology iff any cube is non-empty.
+        return True
     bit = 1 << var
-    cubes: List[Cube] = []
-    if value:
-        for cube in cover.cubes:
-            if cube.one_mask & bit:
-                cubes.append(
-                    Cube._raw(cover.n_vars, cube.zero_mask | bit, cube.one_mask)
-                )
-    else:
-        for cube in cover.cubes:
-            if cube.zero_mask & bit:
-                cubes.append(
-                    Cube._raw(cover.n_vars, cube.zero_mask, cube.one_mask | bit)
-                )
-    return Cover._wrap(cover.n_vars, cubes)
+    return _tautology(_branch(cubes, bit, 0), n) and _tautology(
+        _branch(cubes, bit, 1), n
+    )
 
 
 def is_tautology(cover: Cover) -> bool:
     """True when the cover evaluates to 1 for every input assignment."""
-    quick = _unate_reduction_tautology(cover)
-    if quick is not None:
-        return quick
-    var = _most_binate_var(cover)
-    if var is None:
-        # No cube binds any variable: tautology iff any cube is non-empty.
-        return bool(cover.cubes)
-    for value in (0, 1):
-        if not is_tautology(_branch_cover(cover, var, value)):
-            return False
-    return True
+    return _tautology(_to_pairs(cover), cover.n_vars)
 
 
 # Complement results memoized across calls: espresso's REDUCE step
 # complements a near-identical "rest of the cover" for every cube, and
 # successive EXPAND/IRREDUNDANT/REDUCE sweeps revisit the same covers.
-# Keys commit to the exact cube *sequence* (not the set) so a memo hit
-# returns bit-identical results to recomputation — cube order steers the
+# Keys are the arity plus the exact cube *sequence* (not the set), so a
+# memo hit returns what recomputation would — cube order steers the
 # heuristics downstream.  Cleared wholesale at the size cap.
-_COMPLEMENT_MEMO: Dict[Tuple, Cover] = {}
+_COMPLEMENT_MEMO: Dict[Tuple[int, Tuple[Pair, ...]], Tuple[Pair, ...]] = {}
 _COMPLEMENT_MEMO_LIMIT = 4096
 
 
-def _cover_memo_key(cover: Cover) -> Tuple:
-    return (
-        cover.n_vars,
-        tuple((c.zero_mask, c.one_mask) for c in cover.cubes),
+def _complement(cubes: Sequence[Pair], n: int) -> Tuple[Pair, ...]:
+    key = (n, tuple(cubes))
+    cached = _COMPLEMENT_MEMO.get(key)
+    if cached is not None:
+        return cached
+    result = tuple(_complement_uncached(key[1], n))
+    if len(_COMPLEMENT_MEMO) >= _COMPLEMENT_MEMO_LIMIT:
+        _COMPLEMENT_MEMO.clear()
+    _COMPLEMENT_MEMO[key] = result
+    return result
+
+
+def _complement_uncached(cubes: Sequence[Pair], n: int) -> List[Pair]:
+    full = (1 << n) - 1
+    if not cubes:
+        return [(full, full)]
+    if (full, full) in cubes:
+        return []
+    if len(cubes) == 1:
+        # De Morgan: one cube per bound literal, in variable order.
+        z, o = cubes[0]
+        care = z ^ o
+        result = []
+        while care:
+            low = care & -care
+            care ^= low
+            result.append((full ^ low, full) if z & low else (full, full ^ low))
+        return result
+    var = _most_binate_var(cubes, n)
+    if var is None:
+        return []
+    bit = 1 << var
+    # Re-bind the splitting literal on each cofactor's complement cubes.
+    result = [
+        (z, o & ~bit)
+        for z, o in _complement(_branch(cubes, bit, 0), n)
+        if z & bit
+    ]
+    result.extend(
+        (z & ~bit, o)
+        for z, o in _complement(_branch(cubes, bit, 1), n)
+        if o & bit
     )
+    return _scc(result)
 
 
 def complement(cover: Cover) -> Cover:
@@ -148,61 +219,7 @@ def complement(cover: Cover) -> Cover:
     Uses the unate recursive paradigm: split on the most binate variable,
     complement each cofactor, and merge with the splitting literal.
     """
-    key = _cover_memo_key(cover)
-    cached = _COMPLEMENT_MEMO.get(key)
-    if cached is not None:
-        # Hand out a fresh wrapper so caller-side mutation (the cover is
-        # public API) cannot poison the memo; cubes are immutable.
-        return Cover._wrap(cover.n_vars, list(cached.cubes))
-    result = _complement_uncached(cover)
-    if len(_COMPLEMENT_MEMO) >= _COMPLEMENT_MEMO_LIMIT:
-        _COMPLEMENT_MEMO.clear()
-    _COMPLEMENT_MEMO[key] = Cover._wrap(cover.n_vars, list(result.cubes))
-    return result
-
-
-def _complement_uncached(cover: Cover) -> Cover:
-    n = cover.n_vars
-    if not cover.cubes:
-        return Cover.universe(n)
-    if any(c.is_full() for c in cover.cubes):
-        return Cover.empty(n)
-    if len(cover.cubes) == 1:
-        return _complement_cube(cover.cubes[0])
-    var = _most_binate_var(cover)
-    if var is None:
-        return Cover.empty(n)
-    result: List[Cube] = []
-    bit = 1 << var
-    for value in (0, 1):
-        comp = complement(_branch_cover(cover, var, value))
-        # Re-bind the splitting literal on each complement cube.
-        if value:
-            for cube in comp.cubes:
-                if cube.one_mask & bit:
-                    result.append(
-                        Cube._raw(n, cube.zero_mask & ~bit, cube.one_mask)
-                    )
-        else:
-            for cube in comp.cubes:
-                if cube.zero_mask & bit:
-                    result.append(
-                        Cube._raw(n, cube.zero_mask, cube.one_mask & ~bit)
-                    )
-    return Cover._wrap(n, result).single_cube_containment()
-
-
-def _complement_cube(cube: Cube) -> Cover:
-    """De Morgan complement of a single cube (one cube per bound literal)."""
-    n = cube.n_vars
-    result = Cover(n)
-    for var in range(n):
-        lit = cube.literal(var)
-        if lit == "0":
-            result.append(Cube.full(n).restrict_var(var, 1))  # type: ignore[arg-type]
-        elif lit == "1":
-            result.append(Cube.full(n).restrict_var(var, 0))  # type: ignore[arg-type]
-    return result
+    return _to_cover(cover.n_vars, _complement(_to_pairs(cover), cover.n_vars))
 
 
 # ----------------------------------------------------------------------
@@ -210,122 +227,102 @@ def _complement_cube(cube: Cube) -> Cover:
 # ----------------------------------------------------------------------
 
 
-def _expand(on: Cover, off: Cover) -> Cover:
+def _expand(on: Sequence[Pair], off: Sequence[Pair], n: int) -> List[Pair]:
     """EXPAND: grow each cube maximally without hitting the OFF-set.
 
     Literals are raised greedily in an order that prefers freeing the
     variables bound in the fewest OFF-set cubes; expanded cubes that
     swallow other ON-cubes let us drop the swallowed ones.
     """
-    n = on.n_vars
     full = (1 << n) - 1
-    off_cubes = off.cubes
-    # Per-variable count of OFF cubes binding it, tabulated once; the old
-    # per-literal _blocking_count rescanned the OFF cover each time.
+    # Per-variable count of OFF cubes binding it, tabulated once.
     blocking = [0] * n
-    for c in off_cubes:
-        care = c.care_mask()
+    for z, o in off:
+        care = (z ^ o) & full
         while care:
             low = care & -care
             care ^= low
             blocking[low.bit_length() - 1] += 1
-    cubes = sorted(on.cubes, key=Cube.num_literals, reverse=True)
-    expanded: List[Cube] = []
-    for cube in cubes:
-        cz = cube.zero_mask
-        co = cube.one_mask
-        swallowed = False
-        for e in expanded:
-            if cz & e.zero_mask == cz and co & e.one_mask == co:
-                swallowed = True
-                break
-        if swallowed:
-            continue
-        # Try raising literals one at a time, cheapest first.
-        care = (cz ^ co) & full
-        order = sorted(
-            (v for v in range(n) if care >> v & 1),
-            key=blocking.__getitem__,
-        )
-        for var in order:
-            bit = 1 << var
-            tz = cz | bit
-            to = co | bit
-            if blocking[var] == 0:
-                # No OFF cube binds var: raising it cannot create an
-                # intersection (the cube is disjoint from OFF on some
-                # other variable, which raising var leaves bound).
-                cz, co = tz, to
-                continue
-            for c in off_cubes:
-                if ((tz & c.zero_mask) | (to & c.one_mask)) == full:
-                    break
-            else:
-                cz, co = tz, to
-        expanded.append(Cube._raw(n, cz, co))
-    return Cover._wrap(n, expanded).single_cube_containment()
+    expanded: List[Pair] = []
+    for cz, co in _by_literals(on, reverse=True):
+        for ez, eo in expanded:
+            if cz & ez == cz and co & eo == co:
+                break  # swallowed by an earlier expansion
+        else:
+            # For each OFF cube, the variables on which it and the cube
+            # conflict.  Raising ``var`` makes the cube meet an OFF cube
+            # exactly when that set is {var}, or already empty ("stuck");
+            # a raised variable leaves every set.  A variable no OFF cube
+            # binds is in no set.
+            conflicts = {full ^ ((cz & z) | (co & o)) for z, o in off}
+            stuck = 0 in conflicts
+            # Try raising literals one at a time, cheapest first.
+            care = (cz ^ co) & full
+            order = sorted(
+                (v for v in range(n) if care >> v & 1),
+                key=blocking.__getitem__,
+            )
+            for var in order:
+                bit = 1 << var
+                if blocking[var]:
+                    if stuck or bit in conflicts:
+                        continue
+                    conflicts = {c & ~bit for c in conflicts}
+                cz |= bit
+                co |= bit
+            expanded.append((cz, co))
+    return _scc(expanded)
 
 
-def _blocking_count(off: Cover, var: int) -> int:
-    """Number of OFF-set cubes that bind ``var`` (expansion risk proxy)."""
-    bit = 1 << var
-    return sum(1 for c in off if c.care_mask() & bit)
-
-
-def _intersects_cover(cube: Cube, cover: Cover) -> bool:
-    return cover.intersects_cube(cube)
-
-
-def _irredundant(on: Cover, dc: Cover) -> Cover:
+def _irredundant(on: Sequence[Pair], dc: Sequence[Pair], n: int) -> List[Pair]:
     """IRREDUNDANT: drop cubes covered by the rest of the cover plus DC."""
-    cubes = list(on.cubes)
-    dc_cubes = dc.cubes
+    full = (1 << n) - 1
+    cubes = list(on)
     # Visit smallest cubes first: they are the most likely to be redundant.
-    for cube in sorted(cubes, key=Cube.num_literals, reverse=True):
-        rest = Cover._wrap(
-            on.n_vars, [c for c in cubes if c is not cube] + dc_cubes
-        )
-        if rest.covers_cube(cube):
+    for cube in _by_literals(cubes, reverse=True):
+        rest = [c for c in cubes if c is not cube]
+        rest.extend(dc)
+        if _tautology(_cofactor(rest, cube, full), n):
             cubes.remove(cube)
-    return Cover._wrap(on.n_vars, cubes)
+    return cubes
 
 
-def _reduce(on: Cover, dc: Cover) -> Cover:
+def _reduce(on: Sequence[Pair], dc: Sequence[Pair], n: int) -> List[Pair]:
     """REDUCE: shrink each cube to the supercube of its essential part.
 
     The essential part of cube ``c`` is ``c`` minus what the rest of the
     cover (plus DC) covers; reducing opens room for the next EXPAND to
     find a different (hopefully smaller) local optimum.
     """
-    n = on.n_vars
-    cubes = list(on.cubes)
-    dc_cubes = list(dc.cubes)
-    reduced: List[Cube] = []
+    full = (1 << n) - 1
+    cubes = list(on)
+    reduced: List[Pair] = []
     for i, cube in enumerate(cubes):
-        rest = Cover._wrap(
-            n, [c for j, c in enumerate(cubes) if j != i] + dc_cubes
-        )
-        rest_cf = rest.cofactor(cube)
-        comp = complement(rest_cf)
+        rest = cubes[:i] + cubes[i + 1:]
+        rest.extend(dc)
+        comp = _complement(_cofactor(rest, cube, full), n)
         # supercube of (cube AND complement(rest cofactor cube))
-        essential = [
-            inter for inter in (cc.intersect(cube) for cc in comp.cubes)
-            if inter is not None
-        ]
+        cz, co = cube
+        super_z = super_o = 0
+        essential = False
+        for z, o in comp:
+            z &= cz
+            o &= co
+            if z | o == full:
+                super_z |= z
+                super_o |= o
+                essential = True
         if not essential:
             # Fully covered by the rest; keep as-is, IRREDUNDANT removes it.
             reduced.append(cube)
             continue
-        super_c = essential[0]
-        for cc in essential[1:]:
-            super_c = super_c.supercube(cc)
-        reduced.append(super_c)
-        cubes[i] = super_c
-    return Cover._wrap(n, reduced)
+        cubes[i] = (super_z, super_o)
+        reduced.append(cubes[i])
+    return reduced
 
 
-def _cover_cost(cover: Cover) -> Tuple[int, int]:
-    return (len(cover), cover.num_literals())
+def _cover_cost(cubes: Sequence[Pair]) -> Tuple[int, int]:
+    return (len(cubes), sum(_popcount(z ^ o) for z, o in cubes))
 
 
 def espresso(on: Cover, dc: Optional[Cover] = None, max_iters: int = 8) -> Cover:
@@ -352,20 +349,21 @@ def espresso(on: Cover, dc: Optional[Cover] = None, max_iters: int = 8) -> Cover
     on = on.single_cube_containment()
     if on.is_empty_function():
         return on
-    off = complement(Cover(n, list(on.cubes) + list(dc.cubes)))
-    best = _irredundant(_expand(on, off), dc)
+    off = _complement(_to_pairs(Cover(n, on.cubes + dc.cubes)), n)
+    dc_cubes = _to_pairs(dc)
+    best = _irredundant(_expand(_to_pairs(on), off, n), dc_cubes, n)
     best_cost = _cover_cost(best)
     current = best
     for _ in range(max_iters):
-        current = _reduce(current, dc)
-        current = _expand(current, off)
-        current = _irredundant(current, dc)
+        current = _reduce(current, dc_cubes, n)
+        current = _expand(current, off, n)
+        current = _irredundant(current, dc_cubes, n)
         cost = _cover_cost(current)
         if cost < best_cost:
             best, best_cost = current, cost
         else:
             break
-    return best
+    return _to_cover(n, best)
 
 
 def minimize_function(

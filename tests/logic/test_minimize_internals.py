@@ -1,15 +1,30 @@
-"""White-box tests of the espresso loop's phases."""
+"""White-box tests of the espresso loop's phases.
 
-import pytest
+The phases run on lists of ``(zero_mask, one_mask)`` pairs; the wrappers
+below take and return :class:`Cover` objects so each case reads as the
+function it checks.
+"""
 
+from repro.logic import minimize
 from repro.logic.cube import Cover, Cube
-from repro.logic.minimize import (
-    _expand,
-    _irredundant,
-    _reduce,
-    complement,
-    espresso,
-)
+from repro.logic.minimize import complement, espresso
+
+
+def _phase(fn, on, other):
+    pairs = fn(minimize._to_pairs(on), minimize._to_pairs(other), on.n_vars)
+    return minimize._to_cover(on.n_vars, pairs)
+
+
+def _expand(on, off):
+    return _phase(minimize._expand, on, off)
+
+
+def _irredundant(on, dc):
+    return _phase(minimize._irredundant, on, dc)
+
+
+def _reduce(on, dc):
+    return _phase(minimize._reduce, on, dc)
 
 
 class TestExpand:
