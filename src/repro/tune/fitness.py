@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional
 from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.machine import FSM
-from repro.fsm.simulate import FsmSimulator, random_stimulus
+from repro.fsm.simulate import FsmSimulator, divergence, random_stimulus
 from repro.power.activity import extract_rom_activity
 from repro.power.estimator import estimate_rom_power
 from repro.power.params import PowerParams, VIRTEX2_PARAMS
@@ -200,12 +200,16 @@ def score(
     )
     trace = impl.run(stimulus)
     if settings["verify"]:
+        # The run checks the ROM words; this also checks the output
+        # stream the external Moore output logic produces.
         reference = FsmSimulator(fsm).run(stimulus)
-        if trace.output_stream != reference.outputs:
-            raise AssertionError(
-                f"{fsm.name}: tuner candidate diverged from the reference "
-                f"FSM on the shared stimulus"
-            )
+        for cycle, (got, want) in enumerate(
+            zip(trace.output_stream, reference.outputs)
+        ):
+            if got != want:
+                clocked = impl.clock_control is not None
+                label = "ROM+clock-control" if clocked else "ROM"
+                raise divergence(fsm, label, cycle)
 
     activity = extract_rom_activity(impl, trace)
     power = estimate_rom_power(impl, activity, frequency)
