@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.logic.cube import _popcount
 from repro.logic.network import LogicNetwork, NodeKind
@@ -120,10 +120,10 @@ class LutMapping:
 
 
 # One K-feasible cut of a node: its leaves as a bitmask over node ids,
-# the same leaves as a frozenset, and its arrival (the largest mapped
-# depth among the leaves; implementing the node with the cut puts it at
-# depth arrival + 1).
-Cut = Tuple[int, FrozenSet[int], int]
+# the same leaves as a tuple, and its arrival (the largest mapped depth
+# among the leaves; implementing the node with the cut puts it at depth
+# arrival + 1).
+Cut = Tuple[int, Tuple[int, ...], int]
 
 
 def _enumerate_cuts(
@@ -145,11 +145,12 @@ def _enumerate_cuts(
     for node in network.nodes:  # node ids are topologically ordered
         nid = node.id
         if node.kind in _LEAF_KINDS:
-            cuts.append([(1 << nid, frozenset((nid,)), 0)])
+            cuts.append([(1 << nid, (nid,), 0)])
             depth.append(0)
             continue
-        # Leaf mask -> (leaves, arrival), in first-occurrence order.
-        merged: Dict[int, Tuple[FrozenSet[int], int]] = {}
+        # Leaf mask -> (leaves, repeats allowed; arrival), in
+        # first-occurrence order.
+        merged: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         if len(node.fanins) == 1:
             for mask, leaves, arrival in cuts[node.fanins[0]]:
                 merged[mask] = (leaves, arrival)
@@ -161,7 +162,7 @@ def _enumerate_cuts(
                     mask = mask_a | mask_b
                     if _popcount(mask) <= k and mask not in merged:
                         merged[mask] = (
-                            leaves_a | leaves_b,
+                            leaves_a + leaves_b,
                             arrival_a if arrival_a > arrival_b else arrival_b,
                         )
         # Ties in (depth, size) keep the iteration order of a set of the
@@ -169,7 +170,7 @@ def _enumerate_cuts(
         # the mappings depend on it.  (A set built from a dict presizes
         # its table and iterates in another order.)
         rank = {
-            leaves: (arrival, len(leaves), mask)
+            frozenset(leaves): (arrival, _popcount(mask), mask)
             for mask, (leaves, arrival) in merged.items()
         }
         kept: List[Cut] = []
@@ -179,11 +180,11 @@ def _enumerate_cuts(
                 if kept_mask & mask == kept_mask:
                     break
             else:
-                kept.append((mask, leaves, arrival))
+                kept.append((mask, tuple(leaves), arrival))
             if len(kept) >= cut_limit:
                 break
         depth.append(kept[0][2] + 1)
-        kept.append((1 << nid, frozenset((nid,)), depth[nid]))
+        kept.append((1 << nid, (nid,), depth[nid]))
         cuts.append(kept)
     return cuts, depth
 
@@ -453,7 +454,7 @@ def map_network(
         nid: depth[nid]
         for nid in network.outputs.values() if gates >> nid & 1
     }
-    chosen_cut: Dict[int, FrozenSet[int]] = {}
+    chosen_cut: Dict[int, Tuple[int, ...]] = {}
     for nid in range(len(depth) - 1, -1, -1):
         allowed = required.get(nid)
         if allowed is None:

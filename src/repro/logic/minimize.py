@@ -14,9 +14,9 @@ return :class:`~repro.logic.cube.Cover` objects.
 The minimizer is heuristic, as espresso is: it guarantees the result is a
 cover of the ON-set that stays inside ON ∪ DC, and it is verified for
 functional equivalence by the test-suite, but it does not guarantee
-minimality.  The FF baseline of the nine paper machines makes about 120
-calls (up to 16 variables and a few hundred cubes) that together take
-well under a second.
+minimality.  The FF baselines of the nine paper machines make 119 calls
+(up to 16 variables and a few hundred cubes), which take about half a
+second together with Python 3.11 on one x86 core.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ def _most_binate_var(cubes: Sequence[Pair], n: int) -> Optional[int]:
         while care:
             low = care & -care
             care ^= low
+            var = low.bit_length() - 1
             if ones & low:
-                count1[low.bit_length() - 1] += 1
+                count1[var] += 1
             else:
-                count0[low.bit_length() - 1] += 1
+                count0[var] += 1
     best_var = None
     best_key: Tuple[int, int] = (-1, -1)
     for var in range(n):
@@ -144,7 +145,7 @@ def _tautology(cubes: Sequence[Pair], n: int) -> bool:
         return False
     var = _most_binate_var(cubes, n)
     if var is None:
-        # No cube binds any variable: tautology iff any cube is non-empty.
+        # No cube binds any variable (and the cover is not empty).
         return True
     bit = 1 << var
     return _tautology(_branch(cubes, bit, 0), n) and _tautology(
@@ -193,7 +194,10 @@ def _complement_uncached(cubes: Sequence[Pair], n: int) -> List[Pair]:
         while care:
             low = care & -care
             care ^= low
-            result.append((full ^ low, full) if z & low else (full, full ^ low))
+            if z & low:
+                result.append((full ^ low, full))
+            else:
+                result.append((full, full ^ low))
         return result
     var = _most_binate_var(cubes, n)
     if var is None:

@@ -63,7 +63,8 @@ def random_cover(rng, n, max_cubes):
     if roll < 0.08:
         return Cover(n)
     free = rng.choice([0.2, 0.4, 0.6])
-    cubes = [random_cube(rng, n, free) for _ in range(rng.randint(1, max_cubes))]
+    count = rng.randint(1, max_cubes)
+    cubes = [random_cube(rng, n, free) for _ in range(count)]
     if roll < 0.16:
         cubes.insert(rng.randrange(len(cubes) + 1), Cube.full(n))
     if roll > 0.9:

@@ -76,7 +76,9 @@ def test_corrupted_moore_output_lut_fails_at_its_first_use():
         }
         values.update({f"in{i}": bits >> i & 1 for i in range(fsm.num_inputs)})
         nets = mapping.evaluate_all_nets(values)
-        rows.append(sum(nets[src] << i for i, src in enumerate(lut.input_nets)))
+        rows.append(
+            sum(nets[src] << i for i, src in enumerate(lut.input_nets))
+        )
     cycle = latest_first_use(rows)
     assert cycle > 0
     flipped = MappedLut(
