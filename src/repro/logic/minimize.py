@@ -54,8 +54,6 @@ def _to_cover(n: int, cubes: Sequence[Pair]) -> Cover:
 
 def _scc(cubes: Sequence[Pair]) -> List[Pair]:
     """Drop cubes contained in some other single cube (largest first)."""
-    if len(cubes) < 2:
-        return list(cubes)
     kept: List[Pair] = []
     for cube in _by_literals(cubes):
         zero, one = cube
@@ -203,18 +201,16 @@ def _complement_uncached(cubes: Sequence[Pair], n: int) -> List[Pair]:
     if var is None:
         return []
     bit = 1 << var
-    # Re-bind the splitting literal on each cofactor's complement cubes.
-    result = [
-        (z, o & ~bit)
-        for z, o in _complement(_branch(cubes, bit, 0), n)
-        if z & bit
-    ]
+    # Both cofactors leave the split variable free in every cube, and so
+    # do their complements; re-bind it to 0 in one half and to 1 in the
+    # other.  A complement holds no cube inside another, and the halves
+    # differ on the split variable, so single-cube containment of the
+    # merge would drop nothing: it only sorts, largest cubes first.
+    result = [(z, o & ~bit) for z, o in _complement(_branch(cubes, bit, 0), n)]
     result.extend(
-        (z & ~bit, o)
-        for z, o in _complement(_branch(cubes, bit, 1), n)
-        if o & bit
+        (z & ~bit, o) for z, o in _complement(_branch(cubes, bit, 1), n)
     )
-    return _scc(result)
+    return _by_literals(result)
 
 
 def complement(cover: Cover) -> Cover:

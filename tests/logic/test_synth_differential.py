@@ -165,6 +165,19 @@ def test_map_network_matches_reference(k, cut_limit):
         assert mapping_of(got) == mapping_of(want), (k, cut_limit, seed)
 
 
+# Networks on which single-fanout absorption must go back to a LUT it
+# passed over: a merge leaves an earlier LUT with one reader.
+REVISIT_CASES = [(73, 3, 2), (313, 4, 1), (1066, 4, 1), (1205, 3, 1)]
+
+
+@pytest.mark.parametrize("seed,k,cut_limit", REVISIT_CASES)
+def test_absorption_revisit_matches_reference(seed, k, cut_limit):
+    network = random_network(random.Random(seed))
+    want = ref.map_network(network, k=k, cut_limit=cut_limit)
+    got = lutmap.map_network(network, k=k, cut_limit=cut_limit)
+    assert mapping_of(got) == mapping_of(want)
+
+
 @functools.lru_cache(maxsize=None)
 def ff_flow_calls(name, style):
     """Every espresso and map_network call the FF flow makes for one
