@@ -36,12 +36,9 @@ __all__ = [
 Pair = Tuple[int, int]
 
 
-def _by_literals(cubes: Sequence[Pair], reverse: bool = False) -> List[Pair]:
-    """``cubes`` stably sorted by bound-variable count, as
-    ``sorted(cubes, key=Cube.num_literals, reverse=reverse)`` sorts."""
-    counts = [_popcount(z ^ o) for z, o in cubes]
-    order = sorted(range(len(cubes)), key=counts.__getitem__, reverse=reverse)
-    return [cubes[i] for i in order]
+def _literals(cube: Pair) -> int:
+    """Number of bound variables (``Cube.num_literals``)."""
+    return _popcount(cube[0] ^ cube[1])
 
 
 def _to_pairs(cover: Cover) -> List[Pair]:
@@ -55,7 +52,7 @@ def _to_cover(n: int, cubes: Sequence[Pair]) -> Cover:
 def _scc(cubes: Sequence[Pair]) -> List[Pair]:
     """Drop cubes contained in some other single cube (largest first)."""
     kept: List[Pair] = []
-    for cube in _by_literals(cubes):
+    for cube in sorted(cubes, key=_literals):
         zero, one = cube
         for kz, ko in kept:
             if zero & kz == zero and one & ko == one:
@@ -210,7 +207,7 @@ def _complement_uncached(cubes: Sequence[Pair], n: int) -> List[Pair]:
     result.extend(
         (z & ~bit, o) for z, o in _complement(_branch(cubes, bit, 1), n)
     )
-    return _by_literals(result)
+    return sorted(result, key=_literals)
 
 
 def complement(cover: Cover) -> Cover:
@@ -244,7 +241,7 @@ def _expand(on: Sequence[Pair], off: Sequence[Pair], n: int) -> List[Pair]:
             care ^= low
             blocking[low.bit_length() - 1] += 1
     expanded: List[Pair] = []
-    for cz, co in _by_literals(on, reverse=True):
+    for cz, co in sorted(on, key=_literals, reverse=True):
         for ez, eo in expanded:
             if cz & ez == cz and co & eo == co:
                 break  # swallowed by an earlier expansion
@@ -279,7 +276,7 @@ def _irredundant(on: Sequence[Pair], dc: Sequence[Pair], n: int) -> List[Pair]:
     full = (1 << n) - 1
     cubes = list(on)
     # Visit smallest cubes first: they are the most likely to be redundant.
-    for cube in _by_literals(cubes, reverse=True):
+    for cube in sorted(cubes, key=_literals, reverse=True):
         rest = [c for c in cubes if c is not cube]
         rest.extend(dc)
         if _tautology(_cofactor(rest, cube, full), n):
@@ -322,7 +319,7 @@ def _reduce(on: Sequence[Pair], dc: Sequence[Pair], n: int) -> List[Pair]:
 
 
 def _cover_cost(cubes: Sequence[Pair]) -> Tuple[int, int]:
-    return (len(cubes), sum(_popcount(z ^ o) for z, o in cubes))
+    return (len(cubes), sum(map(_literals, cubes)))
 
 
 def espresso(on: Cover, dc: Optional[Cover] = None, max_iters: int = 8) -> Cover:
