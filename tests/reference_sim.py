@@ -1,4 +1,4 @@
-"""Per-cycle oracles for the word-parallel simulators.
+"""Per-cycle and per-address oracles for the fast paths.
 
 :func:`repro.synth.netsim.simulate_ff_netlist` and
 :meth:`repro.romfsm.impl.RomFsmImplementation.run` evaluate a whole
@@ -6,19 +6,120 @@ stimulus at once as packed words.  The evaluators here clock one cycle
 per call, straight from the LUT truth tables and the block RAM model,
 and are what the differential tests compare the word-parallel paths
 against: streams, every toggle count, and the BRAM edge statistics.
+
+:func:`generate_contents_reference` and
+:func:`idle_biased_stimulus_reference` call :meth:`FSM.step` once per
+memory address and once per stimulus probe; the ROM words and the
+stimulus streams of :mod:`repro.romfsm.contents` and
+:mod:`repro.fsm.simulate` must equal theirs exactly.
 """
 
+import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.fsm.machine import FsmError
 from repro.romfsm.impl import RomTrace
 from repro.synth.netsim import NetlistTrace
 
 __all__ = [
     "combinational_inputs",
+    "generate_contents_reference",
+    "idle_biased_stimulus_reference",
     "run_reference",
     "simulate_ff_netlist_reference",
     "step",
 ]
+
+
+# ----------------------------------------------------------------------
+# ROM contents and idle-biased stimulus, one FSM.step per address/probe
+# ----------------------------------------------------------------------
+
+
+def generate_contents_reference(fsm, encoding, layout, compaction=None) -> List[int]:
+    """The ROM words, stepping the machine at every memory address."""
+    if encoding.encode(fsm.reset_state) != 0:
+        raise FsmError("ROM mapping requires the reset state at code 0")
+    if compaction is not None and compaction.num_inputs != fsm.num_inputs:
+        raise FsmError("compaction table built for a different input count")
+    expected_inputs = compaction.width if compaction is not None else fsm.num_inputs
+    if layout.input_bits != expected_inputs:
+        raise FsmError(
+            f"layout has {layout.input_bits} input bits, expected {expected_inputs}"
+        )
+    if encoding.width != layout.state_bits:
+        raise FsmError("layout state width does not match the encoding")
+
+    words = [0] * layout.depth
+    for state in fsm.states:
+        code = encoding.encode(state)
+        if compaction is None:
+            for input_bits in range(1 << fsm.num_inputs):
+                dst, out = fsm.step(state, input_bits)
+                addr = layout.make_address(code, input_bits)
+                words[addr] = layout.make_word(
+                    encoding.encode(dst), out if layout.output_bits else 0
+                )
+            continue
+        cols = compaction.columns_for(state)
+        used = len(cols)
+        for compact_value in range(1 << layout.input_bits):
+            base = compact_value & ((1 << used) - 1) if used else 0
+            # Representative full input vector for this projection class.
+            representative = 0
+            for j, col in enumerate(cols):
+                if (base >> j) & 1:
+                    representative |= 1 << col
+            dst, out = fsm.step(state, representative)
+            addr = layout.make_address(code, compact_value)
+            words[addr] = layout.make_word(
+                encoding.encode(dst), out if layout.output_bits else 0
+            )
+    return words
+
+
+def idle_biased_stimulus_reference(
+    fsm,
+    num_cycles: int,
+    idle_fraction: float = 0.5,
+    seed: int = 0,
+    max_probes: int = 96,
+) -> List[int]:
+    """The idle-biased stimulus, one ``randrange`` and one step per probe."""
+    rng = random.Random(seed)
+    limit = 1 << fsm.num_inputs
+    stimulus: List[int] = []
+    state = fsm.reset_state
+    prev_output: Optional[int] = None
+    idle_count = 0
+
+    def is_idle(nxt: str, out: int) -> bool:
+        same_out = prev_output is None and out == 0 or out == prev_output
+        return nxt == state and same_out
+
+    for cycle in range(num_cycles):
+        want_idle = idle_count < idle_fraction * (cycle + 1)
+        chosen: Optional[Tuple[int, str, int]] = None
+        fallback: Optional[Tuple[int, str, int]] = None
+        for _probe in range(max_probes):
+            candidate = rng.randrange(limit)
+            nxt, out = fsm.step(state, candidate)
+            if is_idle(nxt, out) == want_idle:
+                chosen = (candidate, nxt, out)
+                break
+            if want_idle and nxt == state and fallback is None:
+                fallback = (candidate, nxt, out)
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            candidate = rng.randrange(limit)
+            chosen = (candidate, *fsm.step(state, candidate))
+        candidate, nxt, out = chosen
+        if is_idle(nxt, out):
+            idle_count += 1
+        stimulus.append(candidate)
+        state, prev_output = nxt, out
+    return stimulus
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,11 @@ which the mapper splits over two series blocks.  Every machine runs at
 the word-packing edges of 0, 1, 2, 3, 17, 64, 65 and 200 cycles, once
 on uniform random stimulus and once on idle-biased stimulus (which
 drives the enable/hold path of clock control).
+
+The ROM words and the idle-biased stimulus streams must also equal
+their step-based oracles exactly, over the same machines and two wide
+ones: ``wide16`` (4 states, 16 inputs) and ``wide18`` (2 states, 18
+inputs), whose states each read at most three input columns.
 """
 
 import copy
@@ -35,12 +40,16 @@ from repro.fsm.machine import FSM, FsmError, Transition
 from repro.fsm.simulate import FsmSimulator, idle_biased_stimulus, random_stimulus
 from repro.logic.cube import Cube
 from repro.logic.truthtable import TruthTable
+from repro.romfsm.compaction import ColumnCompaction
+from repro.romfsm.contents import RomLayout, generate_contents
 from repro.romfsm.mapper import map_fsm_to_rom
 from repro.synth import codegen
 from repro.synth.ff_synth import synthesize_ff
 from repro.synth.netsim import simulate_ff_netlist
 from tests.reference_sim import (
     combinational_inputs,
+    generate_contents_reference,
+    idle_biased_stimulus_reference,
     run_reference,
     simulate_ff_netlist_reference,
 )
@@ -149,6 +158,23 @@ DEGENERATE = {
 
 GENERATED_SEEDS = range(8)
 
+# Wide machines: (inputs, states).  Each state reads at most three
+# columns, so both compact to a small memory.
+WIDE = {"wide16": (16, 4), "wide18": (18, 2)}
+
+
+def wide(key: str) -> FSM:
+    num_inputs, num_states = WIDE[key]
+    return generate_fsm(GeneratorSpec(
+        name=key,
+        num_states=num_states,
+        num_inputs=num_inputs,
+        num_outputs=2,
+        care_inputs=(1, 3),
+        moore=True,
+        seed=7,
+    ))
+
 
 @lru_cache(maxsize=None)
 def machine(key: str) -> FSM:
@@ -156,6 +182,8 @@ def machine(key: str) -> FSM:
         return generated(int(key[1:]))
     if key == "series":
         return wide_dense_machine()
+    if key in WIDE:
+        return wide(key)
     return DEGENERATE[key]()
 
 
@@ -275,6 +303,84 @@ def test_without_net_collection(config):
     stimulus = stimuli(key, 65)["idle"]
     reference = FsmSimulator(machine(key)).run(stimulus)
     check_rom(rom_impl(key, config), stimulus, reference, collect_nets=False)
+
+
+# ----------------------------------------------------------------------
+# ROM words and stimulus streams equal their step-based oracles
+# ----------------------------------------------------------------------
+
+MACHINE_KEYS = (
+    [f"g{seed}" for seed in GENERATED_SEEDS] + sorted(DEGENERATE) + ["series"]
+)
+
+
+def oracle_words(impl):
+    return generate_contents_reference(
+        impl.fsm, impl.encoding, impl.layout, impl.compaction
+    )
+
+
+@pytest.mark.parametrize("key", MACHINE_KEYS)
+def test_rom_words_match_the_step_oracle(key):
+    fsm = machine(key)
+    for config in rom_configs(fsm):
+        impl = rom_impl(key, config)
+        assert impl.contents == oracle_words(impl), config
+
+
+@pytest.mark.parametrize("key", [f"g{seed}" for seed in GENERATED_SEEDS])
+def test_rom_words_under_a_wider_compaction(key):
+    # An ECO reuses the old multiplexer table, which may select columns
+    # the new machine's cubes no longer bind.
+    fsm = machine(key)
+    impl = rom_impl(key, "compacted")
+    old = impl.compaction
+    state_columns = {}
+    for state, cols in old.state_columns.items():
+        spare = [c for c in range(fsm.num_inputs) if c not in cols]
+        state_columns[state] = tuple(sorted(cols + tuple(spare[:1])))
+    width = max(len(cols) for cols in state_columns.values())
+    compaction = ColumnCompaction(width, state_columns, fsm.num_inputs)
+    layout = RomLayout(width, impl.layout.state_bits, impl.layout.output_bits)
+    assert generate_contents(
+        fsm, impl.encoding, layout, compaction
+    ) == generate_contents_reference(fsm, impl.encoding, layout, compaction)
+
+
+@pytest.mark.parametrize("key", sorted(WIDE))
+def test_wide_machine_rom_words_and_runs(key):
+    fsm = machine(key)
+    for config in ("compacted", "moore-external",
+                   "moore-external-clock-control"):
+        impl = rom_impl(key, config)
+        assert impl.compaction is not None
+        assert impl.contents == oracle_words(impl), config
+        for stimulus in stimuli(key, 65).values():
+            reference = FsmSimulator(fsm).run(stimulus)
+            check_rom(impl, stimulus, reference)
+
+
+def test_wide16_uncompacted_rom_words():
+    # The full-width memory of the wide machine below the image bound.
+    fsm = machine("wide16")
+    encoding = rom_impl("wide16", "compacted").encoding
+    layout = RomLayout(fsm.num_inputs, encoding.width, fsm.num_outputs)
+    assert generate_contents(
+        fsm, encoding, layout
+    ) == generate_contents_reference(fsm, encoding, layout)
+
+
+@pytest.mark.parametrize("max_probes", [96, 4])
+@pytest.mark.parametrize("key", MACHINE_KEYS + sorted(WIDE))
+def test_idle_biased_stimulus_matches_the_step_oracle(key, max_probes):
+    fsm = machine(key)
+    for idle_fraction in (0.0, 0.6, 1.0):
+        for seed in (0, 5):
+            assert idle_biased_stimulus(
+                fsm, 200, idle_fraction, seed=seed, max_probes=max_probes
+            ) == idle_biased_stimulus_reference(
+                fsm, 200, idle_fraction, seed=seed, max_probes=max_probes
+            ), (idle_fraction, seed)
 
 
 def test_conflicting_overlap_is_rejected_by_both_implementations():
