@@ -16,7 +16,13 @@ from typing import TypeVar
 
 from repro.logic.cube import Cube
 
-__all__ = ["FsmError", "Transition", "FSM"]
+__all__ = ["IMAGE_MAX_ENTRIES", "FsmError", "Transition", "FSM", "write_block"]
+
+# The largest machine, in (state, input) pairs, whose image FSM.image()
+# tabulates.  Above it, the image's columns step the machine on demand:
+# a table of num_states * 2**num_inputs entries would cost more to build
+# than the few thousand probes and cycles a simulation reads from it.
+IMAGE_MAX_ENTRIES = 1 << 18
 
 
 class FsmError(ValueError):
@@ -52,6 +58,43 @@ class Transition:
 
 _Row = Tuple[Tuple[int, int, str, int], ...]
 _T = TypeVar("_T")
+_E = TypeVar("_E")
+
+
+def write_block(
+    rows: Iterable[Tuple[int, int, _E]], width: int, hold: _E
+) -> List[_E]:
+    """A table of ``2**width`` entries, written cube by cube.
+
+    Entry ``v`` is the ``entry`` of the first row ``(care, value,
+    entry)`` with ``v & care == value``, or ``hold`` when no row
+    matches.  Rows are written last first, so the first match wins.
+    """
+    full = (1 << width) - 1
+    block = [hold] * (full + 1)
+    for care, value, entry in reversed(list(rows)):
+        free = full & ~care
+        sub = free
+        while True:  # every submask of the free columns
+            block[value | sub] = entry
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return block
+
+
+class _SteppedColumn:
+    """One state's image column for a machine above IMAGE_MAX_ENTRIES:
+    each lookup steps the machine."""
+
+    __slots__ = ("_step", "_state")
+
+    def __init__(self, fsm: "FSM", state: str):
+        self._step = fsm.step
+        self._state = state
+
+    def __getitem__(self, input_bits: int) -> Tuple[str, int]:
+        return self._step(self._state, input_bits)
 
 
 class FSM:
@@ -214,6 +257,63 @@ class FSM:
                 if input_bits & care == value:
                     return dst, out
         return state, 0
+
+    def image(self) -> Dict[str, Sequence[Tuple[str, int]]]:
+        """The next-state/output table: ``image()[state][input_bits]``
+        is ``step(state, input_bits)`` for every input in range.
+
+        This is the table the paper's section 5 program writes into the
+        block RAM before compaction.  Each state's column is a list of
+        ``2**num_inputs`` ``(dst, output_bits)`` pairs, written from the
+        step rows by :func:`write_block`; a machine of more than
+        :data:`IMAGE_MAX_ENTRIES` (state, input) pairs gets columns that
+        step on each lookup instead.  Like every fact, the image is built
+        once and dropped by :meth:`add_transition`.
+        """
+        return self.fact("image", FSM._build_image)
+
+    def _build_image(self) -> Dict[str, Sequence[Tuple[str, int]]]:
+        if len(self.states) << self.num_inputs > IMAGE_MAX_ENTRIES:
+            return {state: _SteppedColumn(self, state) for state in self.states}
+        rows = self._rows or self._compile_rows()
+        return {
+            state: write_block(
+                ((care, value, (dst, out)) for care, value, dst, out in row),
+                self.num_inputs,
+                (state, 0),
+            )
+            for state, row in rows.items()
+        }
+
+    def projected_rows(
+        self, state: str, columns: Sequence[int]
+    ) -> List[Tuple[int, int, str, int]]:
+        """``state``'s step rows on the inputs that set only ``columns``.
+
+        Each row ``(care, value, dst, output_bits)`` is re-indexed so
+        that bit ``j`` reads input column ``columns[j]``.  A row binding
+        an unselected column to 1 matches none of those inputs and is
+        dropped; a row binding one to 0 loses that literal.  So
+        ``write_block`` over the result, with ``(state, 0)`` as the hold
+        entry, is the image column restricted to ``columns``.
+        """
+        rows = (self._rows or self._compile_rows())[state]
+        selected = 0
+        for col in columns:
+            selected |= 1 << col
+
+        def project(mask: int) -> int:
+            bits = 0
+            for j, col in enumerate(columns):
+                if mask >> col & 1:
+                    bits |= 1 << j
+            return bits
+
+        return [
+            (project(care), project(value), dst, out)
+            for care, value, dst, out in rows
+            if not value & ~selected
+        ]
 
     def _compile_rows(self) -> Dict[str, _Row]:
         rows: Dict[str, _Row] = {}

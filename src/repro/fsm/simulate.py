@@ -139,21 +139,27 @@ class FsmSimulator:
 
         ``trace.states`` has one extra trailing entry: the state after
         the final cycle, so state toggles of the last edge are counted.
+        Each cycle is one lookup in the machine's image
+        (:meth:`~repro.fsm.machine.FSM.image`).
         """
         self.reset()
-        trace = SimulationTrace(self.fsm.num_inputs, self.fsm.num_outputs)
-        trace.states.append(self.state)
-        limit = 1 << self.fsm.num_inputs
+        fsm = self.fsm
+        trace = SimulationTrace(fsm.num_inputs, fsm.num_outputs)
+        image = fsm.image()
+        state = self.state
+        trace.states.append(state)
+        limit = 1 << fsm.num_inputs
         for input_bits in stimulus:
             if not 0 <= input_bits < limit:
                 raise ValueError(
                     f"input vector {input_bits:#x} out of range for "
-                    f"{self.fsm.num_inputs} inputs"
+                    f"{fsm.num_inputs} inputs"
                 )
-            next_state, output = self.step(input_bits)
+            state, output = image[state][input_bits]
+            self.state = state
             trace.inputs.append(input_bits)
             trace.outputs.append(output)
-            trace.states.append(next_state)
+            trace.states.append(state)
         return trace
 
 
@@ -197,27 +203,32 @@ def idle_biased_stimulus(
     if not 0.0 <= idle_fraction <= 1.0:
         raise ValueError(f"idle_fraction must be in [0, 1], got {idle_fraction}")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     limit = 1 << fsm.num_inputs
+    draw_bits = limit.bit_length()
+    image = fsm.image()
     stimulus: List[int] = []
     state = fsm.reset_state
-    prev_output: Optional[int] = None
+    # The output before reset reads as 0: the first cycle is idle when it
+    # holds the state with all outputs 0.
+    prev_output = 0
     idle_count = 0
-
-    def is_idle(nxt: str, out: int) -> bool:
-        """Whether stepping to ``(nxt, out)`` leaves state and output unchanged."""
-        same_out = prev_output is None and out == 0 or out == prev_output
-        return nxt == state and same_out
 
     for cycle in range(num_cycles):
         want_idle = idle_count < idle_fraction * (cycle + 1)
-        # Picks are (input, next state, output): the probe's own step is
-        # reused, so each candidate is stepped once.
+        column = image[state]
+        # Picks are (input, next state, output): the probe's own lookup
+        # is reused, so each candidate is looked up once.
         chosen: Optional[Tuple[int, str, int]] = None
         fallback: Optional[Tuple[int, str, int]] = None
         for _probe in range(max_probes):
-            candidate = rng.randrange(limit)
-            nxt, out = fsm.step(state, candidate)
-            if is_idle(nxt, out) == want_idle:
+            # rng.randrange(limit), inlined as the rejection loop it runs
+            # (the same draws on CPython 3.9-3.13).
+            candidate = getrandbits(draw_bits)
+            while candidate >= limit:
+                candidate = getrandbits(draw_bits)
+            nxt, out = column[candidate]
+            if (nxt == state and out == prev_output) == want_idle:
                 chosen = (candidate, nxt, out)
                 break
             if want_idle and nxt == state and fallback is None:
@@ -226,9 +237,9 @@ def idle_biased_stimulus(
             chosen = fallback
         if chosen is None:
             candidate = rng.randrange(limit)
-            chosen = (candidate, *fsm.step(state, candidate))
+            chosen = (candidate, *column[candidate])
         candidate, nxt, out = chosen
-        if is_idle(nxt, out):
+        if nxt == state and out == prev_output:
             idle_count += 1
         stimulus.append(candidate)
         state, prev_output = nxt, out

@@ -22,10 +22,10 @@ reset state, paper §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.fsm.encoding import StateEncoding
-from repro.fsm.machine import FSM, FsmError
+from repro.fsm.machine import FSM, FsmError, write_block
 from repro.romfsm.compaction import ColumnCompaction
 
 __all__ = ["RomLayout", "generate_contents"]
@@ -100,12 +100,16 @@ def generate_contents(
 ) -> List[int]:
     """Program the STG into a word list of length ``layout.depth``.
 
-    With ``compaction`` given, address input bits carry the per-state
-    selected columns; a representative full input vector is rebuilt for
-    each compacted value (sound because every cube of a state binds only
-    that state's care columns).  Words for compacted positions a state
-    does not use are replicated so the multiplexer tie-off value is
-    irrelevant.
+    Each state's block is the machine's image (:meth:`FSM.image`)
+    projected onto the input columns its address carries, written cube
+    by cube (:func:`~repro.fsm.machine.write_block`): each transition's
+    next-state/output word is packed once and stored at every address
+    its cube covers.  With ``compaction`` given, those columns are the
+    state's selected columns (sound because every cube of a state binds
+    only that state's care columns), so a block has ``2**len(columns)``
+    words whatever the machine's input width.  Compacted positions a
+    state does not use replicate its block, so the multiplexer tie-off
+    value is irrelevant.
     """
     if encoding.encode(fsm.reset_state) != 0:
         raise FsmError(
@@ -122,29 +126,23 @@ def generate_contents(
     if encoding.width != layout.state_bits:
         raise FsmError("layout state width does not match the encoding")
 
+    all_columns = range(fsm.num_inputs)
     words = [0] * layout.depth
     for state in fsm.states:
         code = encoding.encode(state)
-        if compaction is None:
-            for input_bits in range(1 << fsm.num_inputs):
-                dst, out = fsm.step(state, input_bits)
-                addr = layout.make_address(code, input_bits)
-                words[addr] = layout.make_word(
+        columns = all_columns if compaction is None else compaction.columns_for(state)
+        packed: Dict[Tuple[str, int], int] = {}
+        rows = []
+        for care, value, dst, out in fsm.projected_rows(state, columns):
+            word = packed.get((dst, out))
+            if word is None:
+                word = packed[dst, out] = layout.make_word(
                     encoding.encode(dst), out if layout.output_bits else 0
                 )
-            continue
-        cols = compaction.columns_for(state)
-        used = len(cols)
-        for compact_value in range(1 << layout.input_bits):
-            base = compact_value & ((1 << used) - 1) if used else 0
-            # Representative full input vector for this projection class.
-            representative = 0
-            for j, col in enumerate(cols):
-                if (base >> j) & 1:
-                    representative |= 1 << col
-            dst, out = fsm.step(state, representative)
-            addr = layout.make_address(code, compact_value)
-            words[addr] = layout.make_word(
-                encoding.encode(dst), out if layout.output_bits else 0
-            )
+            rows.append((care, value, word))
+        block = write_block(rows, len(columns), layout.make_word(code, 0))
+        start = layout.make_address(code, 0)
+        words[start:start + (1 << layout.input_bits)] = (
+            block * (1 << (layout.input_bits - len(columns)))
+        )
     return words

@@ -165,12 +165,14 @@ class RomFsmImplementation:
     def run(self, stimulus: List[int], collect_nets: bool = True) -> RomTrace:
         """Simulate from reset; counts per-signal toggles for the power model.
 
-        Word-parallel: the state/output trajectory is first derived from
-        the STG (table lookups), the mux/Moore/enable LUT mappings are
-        then evaluated over the whole trace as packed big-int words
+        Word-parallel: the state/output trajectory is first read from
+        the machine's next-state table (:meth:`FSM.image`, one lookup
+        per cycle), the mux/Moore/enable LUT mappings are then evaluated
+        over the whole trace as packed big-int words
         (:mod:`repro.synth.codegen`), and the trajectory is verified
-        against the actual ROM words and enable decisions.  A ROM that
-        disagrees with its STG raises
+        against the actual ROM words and enable decisions, and the
+        external Moore output LUTs against the trajectory's STG outputs.
+        An implementation that disagrees with its STG raises
         :func:`~repro.fsm.simulate.divergence` at the first diverging
         cycle.  An out-of-range input vector raises ``ValueError``.
         Either error leaves the BRAM statistics untouched; a verified
@@ -187,15 +189,17 @@ class RomFsmImplementation:
             if not 0 <= input_bits < limit:
                 raise ValueError(f"input vector {input_bits:#x} out of range")
 
-        # Trajectory guess from the STG; verified below against the ROM.
+        # Trajectory guess from the STG's next-state table; verified
+        # below against the ROM words and the Moore output LUTs.
+        image = fsm.image()
         state = fsm.reset_state
         codes: List[int] = [encoding.encode(state)]
-        ref_outs: List[int] = []
-        want_out = bool(layout.output_bits)
+        stg_outs: List[int] = []
         for input_bits in stimulus:
-            state, out = fsm.step(state, input_bits)
+            state, out = image[state][input_bits]
             codes.append(encoding.encode(state))
-            ref_outs.append(out if want_out else 0)
+            stg_outs.append(out)
+        ref_outs = stg_outs if layout.output_bits else [0] * num_cycles
 
         current_codes = codes[:num_cycles]
         mask = (1 << num_cycles) - 1
@@ -247,6 +251,7 @@ class RomFsmImplementation:
             en_word = mask
 
         moore_nets: Optional[Dict[str, int]] = None
+        moore_at: Optional[int] = None
         if self.moore_output_mapping is not None:
             moore_nets = codegen.evaluate_words(
                 self.moore_output_mapping, base_words(), mask
@@ -259,6 +264,13 @@ class RomFsmImplementation:
                 ],
                 num_cycles,
             )
+            # The output LUTs must compute the STG's outputs along the
+            # trajectory.
+            if observed_list != stg_outs:
+                moore_at = next(
+                    k for k, (seen, want) in enumerate(zip(observed_list, stg_outs))
+                    if seen != want
+                )
         else:
             observed_list = ref_outs
 
@@ -280,6 +292,8 @@ class RomFsmImplementation:
             self._rom.words, addrs, codes, ref_outs,
             en_word, mask, full_state_words, out_bit_words,
         )
+        if moore_at is not None and (diverged_at is None or moore_at < diverged_at):
+            raise divergence(fsm, "ROM", moore_at)
         if diverged_at is not None:
             label = "ROM+clock-control" if clocked else "ROM"
             raise divergence(fsm, label, diverged_at)

@@ -7,7 +7,7 @@ toggle count is recorded.  :mod:`repro.power.activity` converts the
 counts into the switching activities the XPower-style estimator needs.
 
 The simulation is word-parallel: the state stream is derived first from
-the STG (cheap table lookups), every combinational net is then evaluated
+the STG's next-state table (one lookup per cycle), every combinational net is then evaluated
 over the whole trace at once as one packed big-int word, and the derived
 state stream is verified against the netlist's own next-state words.  A
 netlist that disagrees with its STG raises
@@ -108,8 +108,9 @@ def net_words(
     Returns ``(codes, state_words, nets)``: the state codes of the
     ``len(stimulus) + 1`` samples from reset, their per-bit packed
     words, and the packed word of every net (bit ``k`` is cycle ``k``).
-    The trajectory steps the STG (:meth:`repro.fsm.machine.FSM.step`)
-    and the netlist is the compiled straight-line function of
+    The trajectory is read from the machine's next-state table
+    (:meth:`repro.fsm.machine.FSM.image`), one lookup per cycle, and
+    the netlist is the compiled straight-line function of
     :mod:`repro.synth.codegen`.  The trajectory is then checked against
     the netlist's own next-state words; a mismatch raises
     :func:`~repro.fsm.simulate.divergence` at the first diverging cycle.
@@ -122,10 +123,11 @@ def net_words(
     # so the STG lookup must too.
     in_limit = (1 << fsm.num_inputs) - 1
 
+    image = fsm.image()
     state = fsm.reset_state
     codes = [encoding.encode(state)]
     for input_bits in stimulus:
-        state, _ = fsm.step(state, input_bits & in_limit)
+        state, _ = image[state][input_bits & in_limit]
         codes.append(encoding.encode(state))
 
     # One pack over all num_cycles + 1 samples per state bit: bits

@@ -36,9 +36,11 @@ from functools import lru_cache
 import pytest
 
 from repro.bench.generator import GeneratorSpec, generate_fsm
-from repro.fsm.machine import FSM, FsmError, Transition
+from repro.bench.suite import load_benchmark
+from repro.fsm.machine import IMAGE_MAX_ENTRIES, FSM, FsmError, Transition
 from repro.fsm.simulate import FsmSimulator, idle_biased_stimulus, random_stimulus
 from repro.logic.cube import Cube
+from repro.logic.lutmap import MappedLut
 from repro.logic.truthtable import TruthTable
 from repro.romfsm.compaction import ColumnCompaction
 from repro.romfsm.contents import RomLayout, generate_contents
@@ -360,6 +362,14 @@ def test_wide_machine_rom_words_and_runs(key):
             check_rom(impl, stimulus, reference)
 
 
+def test_wide_machines_straddle_the_image_bound():
+    below, above = machine("wide16"), machine("wide18")
+    assert below.num_states << below.num_inputs == IMAGE_MAX_ENTRIES
+    assert above.num_states << above.num_inputs > IMAGE_MAX_ENTRIES
+    assert all(isinstance(col, list) for col in below.image().values())
+    assert not any(isinstance(col, list) for col in above.image().values())
+
+
 def test_wide16_uncompacted_rom_words():
     # The full-width memory of the wide machine below the image bound.
     fsm = machine("wide16")
@@ -468,6 +478,33 @@ def test_flipped_ns_lut_bit_raises_at_its_first_use():
     pattern = rf"{MUTATION_KEY}: FF .* at cycle {cycle}$"
     with pytest.raises(AssertionError, match=pattern):
         simulate_ff_netlist(impl, stimulus)
+
+
+def test_flipped_moore_output_lut_bit_raises_at_cycle_0():
+    fsm = load_benchmark("prep4")
+    impl = map_fsm_to_rom(fsm)
+    mapping = impl.moore_output_mapping
+    assert mapping is not None  # outputs come from LUTs, not the ROM
+    encoding = impl.encoding
+    # The out0 LUT's truth-table row in the reset state (code 0).
+    nets = mapping.evaluate_all_nets(
+        {encoding.bit_name(b): 0 for b in range(encoding.width)}
+    )
+    lut = mapping.lut_by_name(mapping.outputs["out0"])
+    row = sum(nets[src] << i for i, src in enumerate(lut.input_nets))
+    flipped = MappedLut(
+        lut.name, lut.input_nets,
+        TruthTable(lut.table.n_inputs, lut.table.bits ^ 1 << row),
+        lut.level,
+    )
+    impl.moore_output_mapping = dataclasses.replace(
+        mapping, luts=[flipped if x is lut else x for x in mapping.luts]
+    )
+    stimulus = random_stimulus(fsm.num_inputs, 50, seed=1)
+
+    with pytest.raises(AssertionError, match=r"^prep4: ROM .* at cycle 0$"):
+        impl.run(stimulus)
+    assert bram_stats(impl) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("implementation", ["ff", "rom"])
