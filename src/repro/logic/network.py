@@ -14,6 +14,7 @@ from the same two-level form.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,15 @@ _ARITY = {
     NodeKind.AND: 2,
     NodeKind.OR: 2,
     NodeKind.XOR: 2,
+}
+
+
+_CONST_VALUE = {NodeKind.CONST0: 0, NodeKind.CONST1: 1}
+
+_FOLD = {
+    NodeKind.AND: operator.and_,
+    NodeKind.OR: operator.or_,
+    NodeKind.XOR: operator.xor,
 }
 
 
@@ -156,16 +166,10 @@ class LogicNetwork:
         ka = self._nodes[a].kind
         kb = self._nodes[b].kind
         # Constant folding.
-        consts = {NodeKind.CONST0: 0, NodeKind.CONST1: 1}
+        consts = _CONST_VALUE
         if ka in consts or kb in consts:
             if ka in consts and kb in consts:
-                va, vb = consts[ka], consts[kb]
-                ops = {
-                    NodeKind.AND: va & vb,
-                    NodeKind.OR: va | vb,
-                    NodeKind.XOR: va ^ vb,
-                }
-                return self.const(ops[kind])
+                return self.const(_FOLD[kind](consts[ka], consts[kb]))
             const_val, other = (consts[ka], b) if ka in consts else (consts[kb], a)
             if kind == NodeKind.AND:
                 return other if const_val else self.const(0)
@@ -323,12 +327,16 @@ def sop_to_network(
         product_ids: List[int] = []
         for cube in cover:
             literals: List[int] = []
-            for var in range(cube.n_vars):
-                lit = cube.literal(var)
-                if lit == "1":
+            care = cube.care_mask()
+            one = cube.one_mask
+            while care:  # bound variables, lowest first
+                low = care & -care
+                var = low.bit_length() - 1
+                if one & low:
                     literals.append(literal_ids[var])
-                elif lit == "0":
+                else:
                     literals.append(net.not_(literal_ids[var]))
+                care ^= low
             product_ids.append(net.and_tree(literals))
         net.set_output(out_name, net.or_tree(product_ids))
     return net
