@@ -31,7 +31,6 @@ __all__ = [
     "PAPER_BENCHMARKS",
     "load_benchmark",
     "benchmark_stats",
-    "clear_benchmark_memo",
 ]
 
 
@@ -127,11 +126,6 @@ def load_benchmark(name: str) -> FSM:
     fsm = generate_fsm(spec)
     _BENCHMARK_MEMO[name] = fsm
     return fsm
-
-
-def clear_benchmark_memo() -> None:
-    """Drop the in-process benchmark memo (mostly for tests)."""
-    _BENCHMARK_MEMO.clear()
 
 
 def benchmark_stats(name: str) -> FsmStats:

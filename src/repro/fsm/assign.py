@@ -33,8 +33,6 @@ __all__ = [
     "transition_weights",
     "encoding_switching_cost",
     "anneal_encoding",
-    "register_encoding_strategy",
-    "encoding_strategies",
     "make_strategy_encoding",
     "clear_strategy_cache",
 ]
@@ -169,10 +167,10 @@ def anneal_encoding(
 # The auto-tuner (:mod:`repro.tune`) searches over *state assignments* as
 # one axis of its candidate space, and the ROM mapping accepts any dense
 # minimal-width encoding with the reset state at address 0 (the cleared
-# latched outputs must address the initial state).  Strategies register
-# here by name; the parameterized family ``annealed@<seed>`` resolves
-# without registration so a tuner can fan out over annealing seeds while
-# every name stays a canonical, fingerprintable string.
+# latched outputs must address the initial state).  Strategies are named
+# in ENCODING_STRATEGIES; the parameterized family ``annealed@<seed>``
+# resolves without an entry so a tuner can fan out over annealing seeds
+# while every name stays a canonical, fingerprintable string.
 
 _ANNEALED_PREFIX = "annealed@"
 
@@ -183,33 +181,11 @@ ENCODING_STRATEGIES: Dict[str, Callable[[FSM], StateEncoding]] = {
 }
 
 
-def register_encoding_strategy(
-    name: str,
-    factory: Callable[[FSM], StateEncoding],
-    replace: bool = False,
-) -> None:
-    """Register a named state-assignment strategy.
-
-    The factory must return a *dense* encoding (minimal binary width)
-    with the reset state at code 0 for the result to be legal in the
-    ROM mapping; the mapper validates and rejects anything else.
-    """
-    if not replace and name in ENCODING_STRATEGIES:
-        raise ValueError(f"encoding strategy {name!r} is already registered")
-    ENCODING_STRATEGIES[name] = factory
-
-
-def encoding_strategies() -> Tuple[str, ...]:
-    """Registered strategy names, sorted (``annealed@<seed>`` also works)."""
-    return tuple(sorted(ENCODING_STRATEGIES))
-
-
 # Strategy results memoised by (STG fingerprint, strategy name): an
 # assignment depends only on the machine's transition structure, so the
 # tuner's grid — dozens of candidates differing only in aspect ratio,
 # compaction, or clock control — anneals each (machine, seed) pair
-# once.  Factories must therefore be pure functions of the FSM (the
-# registry docstring already requires determinism for fingerprinting).
+# once.  Factories must therefore be pure functions of the FSM.
 # FIFO-bounded like the Markov stationary cache; callers share the
 # cached StateEncoding and must not mutate it.
 _STRATEGY_CACHE: Dict[Tuple[str, str], StateEncoding] = {}
@@ -224,7 +200,7 @@ def clear_strategy_cache() -> None:
 def make_strategy_encoding(fsm: FSM, name: str) -> StateEncoding:
     """Build an encoding by strategy name (memoised per machine).
 
-    Accepts any registered name plus the parameterized family
+    Accepts any ENCODING_STRATEGIES name plus the parameterized family
     ``annealed@<seed>`` (e.g. ``annealed@7`` anneals with seed 7),
     which keeps tuner candidate configs self-describing strings.
     """

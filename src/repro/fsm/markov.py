@@ -153,11 +153,6 @@ def clear_stationary_cache() -> None:
     _STATIONARY_CACHE.clear()
 
 
-def _occupancy(fsm: FSM) -> Dict[str, float]:
-    pi = stationary_for(fsm)
-    return {state: float(pi[i]) for i, state in enumerate(fsm.states)}
-
-
 def expected_idle_fraction(fsm: FSM) -> float:
     """Long-run probability that a uniformly driven cycle is idle.
 

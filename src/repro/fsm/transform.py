@@ -134,24 +134,6 @@ def mealy_to_moore(fsm: FSM) -> FSM:
     return remove_unreachable(result)
 
 
-def _signature(fsm: FSM, state: str, partition_of: Dict[str, int]) -> Tuple:
-    """Behavioural signature of a state under the current partition.
-
-    Enumerates the input minterm space, so it is exact for complete
-    deterministic machines with a moderate number of inputs (the MCNC
-    set tops out at 11); machines with more than 16 inputs are rejected
-    by :func:`minimize_states`.
-    """
-    sig = []
-    for m in range(1 << fsm.num_inputs):
-        t = fsm.lookup(state, m)
-        if t is None:
-            sig.append((None, None))
-        else:
-            sig.append((partition_of[t.dst], t.resolved_outputs()))
-    return tuple(sig)
-
-
 def minimize_states(fsm: FSM, max_inputs: int = 16) -> FSM:
     """Merge behaviourally equivalent states (Moore/Mealy partition refinement).
 

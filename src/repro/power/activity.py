@@ -56,12 +56,6 @@ class FfActivity:
     # because they consume/produce the same bit streams.
     io_activity: float = 0.0
 
-    def average_activity(self) -> float:
-        if not self.nets:
-            return 0.0
-        return sum(n.toggles_per_cycle for n in self.nets) / len(self.nets)
-
-
 @dataclass
 class RomActivity:
     """Activity summary of the ROM implementation."""

@@ -111,10 +111,6 @@ def bram_initp_strings(words: Sequence[int], width: int) -> List[str]:
     return _chunk_strings(array, _INITP_COUNT)
 
 
-def _std_logic_vector(name: str, width: int) -> str:
-    return f"std_logic_vector({width - 1} downto 0)" if width > 1 else "std_logic"
-
-
 def _bin(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 

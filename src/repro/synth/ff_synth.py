@@ -68,10 +68,6 @@ class FfImplementation:
         return Utilization(luts=self.num_luts, ffs=self.num_ffs, brams=0)
 
     @property
-    def state_bit_names(self) -> List[str]:
-        return self.encoding.bit_names
-
-    @property
     def next_state_names(self) -> List[str]:
         return [f"ns{i}" for i in range(self.encoding.width)]
 
