@@ -12,6 +12,12 @@ Two stimulus generators are provided:
 * :func:`idle_biased_stimulus` — steers a target fraction of cycles into
   *idle* steps (no state or output change), used to reproduce Table 3's
   "average case (with 50% idle states)".
+
+Both the simulator and the idle-biased probes read the machine's
+next-state table (:meth:`~repro.fsm.machine.FSM.image`), one lookup per
+cycle or probe.  The probes draw through an inlined copy of the
+``getrandbits`` rejection loop that ``random.Random.randrange`` runs on
+CPython 3.9-3.13, so each stream is the one ``randrange`` would draw.
 """
 
 from __future__ import annotations

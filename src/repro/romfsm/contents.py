@@ -17,6 +17,13 @@ semantics, so the ROM is a total function.  Addresses whose state field
 is no encoded state hold word 0; they are unreachable because the state
 feedback only ever carries real codes (the latch resets to code 0 = the
 reset state, paper §4.2).
+
+Like the paper's program, :func:`generate_contents` writes the table by
+transition, not by address: each state's block is the machine's
+next-state image (:meth:`repro.fsm.machine.FSM.image`) projected onto the
+input columns its address carries, written cube by cube with
+:func:`repro.fsm.machine.write_block`, and each transition's word is
+packed once.
 """
 
 from __future__ import annotations
