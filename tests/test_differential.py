@@ -350,8 +350,12 @@ def test_rom_words_under_a_wider_compaction(key):
 
 
 @pytest.mark.parametrize("key", sorted(WIDE))
-def test_wide_machine_rom_words_and_runs(key):
+def test_wide_machine_words_and_runs(key):
     fsm = machine(key)
+    for stimulus in stimuli(key, 65).values():
+        reference = FsmSimulator(fsm).run(stimulus)
+        for encoding in ENCODINGS:
+            check_ff(ff_impl(key, encoding), stimulus, reference)
     for config in ("compacted", "moore-external",
                    "moore-external-clock-control"):
         impl = rom_impl(key, config)
