@@ -9,7 +9,8 @@ cycle-accurate model used both for equivalence checking against the
 reference FSM and for extracting the switching activities the power
 estimator consumes.  It is the one simulator of this implementation:
 it evaluates the whole stimulus as packed words and verifies itself
-against the programmed ROM words, raising on any disagreement.
+against the programmed ROM words and, when outputs are external, the
+Moore output LUTs against the STG, raising on any disagreement.
 
 Output timing note: outputs stored in the memory word are *registered*
 (they appear in the BRAM output latch at the clock edge that consumes
