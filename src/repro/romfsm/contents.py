@@ -19,11 +19,11 @@ feedback only ever carries real codes (the latch resets to code 0 = the
 reset state, paper §4.2).
 
 Like the paper's program, :func:`generate_contents` writes the table by
-transition, not by address: each state's block is the machine's
-next-state image (:meth:`repro.fsm.machine.FSM.image`) projected onto the
-input columns its address carries, written cube by cube with
-:func:`repro.fsm.machine.write_block`, and each transition's word is
-packed once.
+transition, not by address: each state's block is written cube by cube
+with :func:`repro.fsm.machine.write_block` (the writer of the machine's
+next-state image, :meth:`repro.fsm.machine.FSM.image`) from the state's
+step rows, their cubes projected onto the input columns its address
+carries, and each distinct word is packed once.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def generate_contents(
 ) -> List[int]:
     """Program the STG into a word list of length ``layout.depth``.
 
-    Each state's block is the machine's image (:meth:`FSM.image`)
-    projected onto the input columns its address carries, written cube
-    by cube (:func:`~repro.fsm.machine.write_block`): each transition's
+    Each state's block is written cube by cube
+    (:func:`~repro.fsm.machine.write_block`) from its step rows
+    (:meth:`FSM.rows`), first match winning: each distinct
     next-state/output word is packed once and stored at every address
     its cube covers.  With ``compaction`` given, those columns are the
     state's selected columns (sound because every cube of a state binds
@@ -133,23 +133,34 @@ def generate_contents(
     if encoding.width != layout.state_bits:
         raise FsmError("layout state width does not match the encoding")
 
-    all_columns = range(fsm.num_inputs)
     words = [0] * layout.depth
     for state in fsm.states:
         code = encoding.encode(state)
-        columns = all_columns if compaction is None else compaction.columns_for(state)
+        width = fsm.num_inputs
+        if compaction is not None:
+            columns = compaction.columns_for(state)
+            width = len(columns)
+            selected = sum(1 << col for col in columns)
         packed: Dict[Tuple[str, int], int] = {}
         rows = []
-        for care, value, dst, out in fsm.projected_rows(state, columns):
+        for care, value, dst, out in fsm.rows(state):
+            if compaction is not None:
+                # The block's address reads only the selected columns, the
+                # others as 0: a row binding one of those to 1 matches
+                # nothing here, and the rest lose the unselected literals.
+                if value & ~selected:
+                    continue
+                care = compaction.compact_input(state, care)
+                value = compaction.compact_input(state, value)
             word = packed.get((dst, out))
             if word is None:
                 word = packed[dst, out] = layout.make_word(
                     encoding.encode(dst), out if layout.output_bits else 0
                 )
             rows.append((care, value, word))
-        block = write_block(rows, len(columns), layout.make_word(code, 0))
+        block = write_block(rows, width, layout.make_word(code, 0))
         start = layout.make_address(code, 0)
         words[start:start + (1 << layout.input_bits)] = (
-            block * (1 << (layout.input_bits - len(columns)))
+            block * (1 << (layout.input_bits - width))
         )
     return words

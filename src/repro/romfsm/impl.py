@@ -293,10 +293,10 @@ class RomFsmImplementation:
             self._rom.words, addrs, codes, ref_outs,
             en_word, mask, full_state_words, out_bit_words,
         )
+        label = "ROM+clock-control" if clocked else "ROM"
         if moore_at is not None and (diverged_at is None or moore_at < diverged_at):
-            raise divergence(fsm, "ROM", moore_at)
+            raise divergence(fsm, label, moore_at)
         if diverged_at is not None:
-            label = "ROM+clock-control" if clocked else "ROM"
             raise divergence(fsm, label, diverged_at)
 
         signal_toggles: Dict[str, int] = {}

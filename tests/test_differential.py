@@ -25,7 +25,7 @@ drives the enable/hold path of clock control).
 
 The ROM words and the idle-biased stimulus streams must also equal
 their step-based oracles exactly, over the same machines and two wide
-ones: ``wide16`` (4 states, 16 inputs) and ``wide18`` (2 states, 18
+ones: ``wide14`` (4 states, 14 inputs) and ``wide18`` (2 states, 18
 inputs), whose states each read at most three input columns.
 """
 
@@ -162,7 +162,7 @@ GENERATED_SEEDS = range(8)
 
 # Wide machines: (inputs, states).  Each state reads at most three
 # columns, so both compact to a small memory.
-WIDE = {"wide16": (16, 4), "wide18": (18, 2)}
+WIDE = {"wide14": (14, 4), "wide18": (18, 2)}
 
 
 def wide(key: str) -> FSM:
@@ -367,17 +367,17 @@ def test_wide_machine_words_and_runs(key):
 
 
 def test_wide_machines_straddle_the_image_bound():
-    below, above = machine("wide16"), machine("wide18")
+    below, above = machine("wide14"), machine("wide18")
     assert below.num_states << below.num_inputs == IMAGE_MAX_ENTRIES
     assert above.num_states << above.num_inputs > IMAGE_MAX_ENTRIES
     assert all(isinstance(col, list) for col in below.image().values())
     assert not any(isinstance(col, list) for col in above.image().values())
 
 
-def test_wide16_uncompacted_rom_words():
-    # The full-width memory of the wide machine below the image bound.
-    fsm = machine("wide16")
-    encoding = rom_impl("wide16", "compacted").encoding
+def test_wide14_uncompacted_rom_words():
+    # The full-width memory of the wide machine at the image bound.
+    fsm = machine("wide14")
+    encoding = rom_impl("wide14", "compacted").encoding
     layout = RomLayout(fsm.num_inputs, encoding.width, fsm.num_outputs)
     assert generate_contents(
         fsm, encoding, layout
@@ -484,9 +484,13 @@ def test_flipped_ns_lut_bit_raises_at_its_first_use():
         simulate_ff_netlist(impl, stimulus)
 
 
-def test_flipped_moore_output_lut_bit_raises_at_cycle_0():
+@pytest.mark.parametrize("config, label", [
+    ("moore-external", "ROM"),
+    ("moore-external-clock-control", r"ROM\+clock-control"),
+])
+def test_flipped_moore_output_lut_bit_raises_at_cycle_0(config, label):
     fsm = load_benchmark("prep4")
-    impl = map_fsm_to_rom(fsm)
+    impl = map_fsm_to_rom(fsm, **CONFIGS[config])
     mapping = impl.moore_output_mapping
     assert mapping is not None  # outputs come from LUTs, not the ROM
     encoding = impl.encoding
@@ -506,7 +510,7 @@ def test_flipped_moore_output_lut_bit_raises_at_cycle_0():
     )
     stimulus = random_stimulus(fsm.num_inputs, 50, seed=1)
 
-    with pytest.raises(AssertionError, match=r"^prep4: ROM .* at cycle 0$"):
+    with pytest.raises(AssertionError, match=rf"^prep4: {label} .* at cycle 0$"):
         impl.run(stimulus)
     assert bram_stats(impl) == (0, 0, 0)
 
