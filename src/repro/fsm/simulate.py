@@ -134,12 +134,6 @@ class FsmSimulator:
     def reset(self) -> None:
         self.state = self.fsm.reset_state
 
-    def step(self, input_bits: int) -> Tuple[str, int]:
-        """Apply one input vector; returns (next_state, output_bits)."""
-        next_state, output = self.fsm.step(self.state, input_bits)
-        self.state = next_state
-        return next_state, output
-
     def run(self, stimulus: Iterable[int]) -> SimulationTrace:
         """Run from reset over ``stimulus``; returns the full trace.
 

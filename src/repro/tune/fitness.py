@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional
 from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.machine import FSM
-from repro.fsm.simulate import FsmSimulator, divergence, random_stimulus
+from repro.fsm.simulate import random_stimulus
 from repro.power.activity import extract_rom_activity
 from repro.power.estimator import estimate_rom_power
 from repro.power.params import PowerParams, VIRTEX2_PARAMS
@@ -192,25 +192,18 @@ def score(
     ``settings`` holds a search's ``num_cycles``, ``seed``,
     ``frequency_mhz`` and ``verify``.  Returns a JSON-safe dict — the
     frontier artifact embeds it verbatim and replay compares
-    float-exactly after a json round-trip.
+    float-exactly after a json round-trip.  The run verifies itself
+    (ROM words, enable logic and external Moore output LUTs), so a
+    candidate that disagrees with its machine raises
+    :func:`~repro.fsm.simulate.divergence` whatever ``verify`` says;
+    ``verify`` stays in the settings, and so in the artifact and the
+    sidecar keys, only to keep those stable.
     """
     frequency = float(settings["frequency_mhz"])
     stimulus = random_stimulus(
         fsm.num_inputs, int(settings["num_cycles"]), seed=int(settings["seed"])
     )
     trace = impl.run(stimulus)
-    if settings["verify"]:
-        # The run checks the ROM words; this also checks the output
-        # stream the external Moore output logic produces.
-        reference = FsmSimulator(fsm).run(stimulus)
-        for cycle, (got, want) in enumerate(
-            zip(trace.output_stream, reference.outputs)
-        ):
-            if got != want:
-                clocked = impl.clock_control is not None
-                label = "ROM+clock-control" if clocked else "ROM"
-                raise divergence(fsm, label, cycle)
-
     activity = extract_rom_activity(impl, trace)
     power = estimate_rom_power(impl, activity, frequency)
     timing = ImplBounds.of(impl, "").timing()

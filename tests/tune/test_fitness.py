@@ -1,10 +1,10 @@
 """A candidate that disagrees with its machine fails naming the cycle.
 
 ``score`` runs the candidate on the search's shared stimulus.  The run
-checks the programmed ROM words; ``score`` also compares the output
-stream, which the external Moore output logic produces.  Either check
-raises :func:`repro.fsm.simulate.divergence` at the first cycle that
-reads the corrupted bit.
+checks the programmed ROM words and the output stream the external
+Moore output logic produces.  Either check raises
+:func:`repro.fsm.simulate.divergence` at the first cycle that reads the
+corrupted bit.
 """
 
 import dataclasses
