@@ -7,7 +7,6 @@ from repro.flows.flow import (
     evaluate_benchmark,
     evaluate_benchmark_detailed,
     evaluate_many,
-    implement_ff,
     implement_rom,
 )
 from repro.flows.eco import EcoError, EcoResult, eco_evaluate
@@ -26,7 +25,6 @@ __all__ = [
     "evaluate_benchmark",
     "evaluate_benchmark_detailed",
     "evaluate_many",
-    "implement_ff",
     "implement_rom",
     "run_all",
     "last_run_manifest",

@@ -55,7 +55,7 @@ from repro.logutil import configure_logging, get_logger, kv
 from repro.pipeline.cache import DEFAULT_CACHE_DIR, resolve_cache
 from repro.power.report import format_table
 from repro.romfsm.mapper import map_fsm_to_rom
-from repro.romfsm.vhdl import rom_fsm_vhdl, rom_fsm_vhdl_structural
+from repro.romfsm.vhdl import rom_fsm_vhdl
 from repro.tune.fitness import (
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
@@ -194,10 +194,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print(f"  clock control : {impl.clock_control.num_luts} LUTs, "
               f"depth {impl.clock_control.depth}")
     if args.vhdl:
-        writer = rom_fsm_vhdl_structural if args.structural else rom_fsm_vhdl
-        Path(args.vhdl).write_text(writer(impl))
-        style = "structural RAMB16" if args.structural else "inferred ROM"
-        print(f"  VHDL written  : {args.vhdl} ({style})")
+        Path(args.vhdl).write_text(rom_fsm_vhdl(impl))
+        print(f"  VHDL written  : {args.vhdl} (inferred ROM)")
     return 0
 
 
@@ -435,25 +433,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_blif(args: argparse.Namespace) -> int:
-    from repro.synth.blif import ff_implementation_vhdl, write_blif
-    from repro.synth.ff_synth import synthesize_ff
-
-    fsm = load_kiss_file(args.file)
-    impl = synthesize_ff(fsm, encoding_style=args.encoding)
-    print(f"FF baseline for {fsm.name}: {impl.num_luts} LUTs, "
-          f"{impl.num_ffs} FFs ({impl.encoding.style} encoding)")
-    if args.out:
-        Path(args.out).write_text(write_blif(impl))
-        print(f"BLIF written  : {args.out}")
-    else:
-        print(write_blif(impl))
-    if args.vhdl:
-        Path(args.vhdl).write_text(ff_implementation_vhdl(impl))
-        print(f"VHDL written  : {args.vhdl}")
-    return 0
-
-
 def _cmd_dump_bench(args: argparse.Namespace) -> int:
     from repro.bench.suite import load_benchmark
 
@@ -594,9 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "external", "internal"])
     p.add_argument("--force-compaction", action="store_true")
     p.add_argument("--vhdl", help="write synthesizable VHDL to this path")
-    p.add_argument("--structural", action="store_true",
-                   help="instantiate RAMB16 primitives with INIT generics "
-                        "instead of an inferred ROM")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("eval", help="power-compare both implementations")
@@ -681,16 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache directory (default: $REPRO_CACHE_DIR, "
                         "else ~/.cache/romfsm)")
     p.set_defaults(func=_cmd_cache)
-
-    p = sub.add_parser(
-        "blif", help="emit the FF baseline as BLIF (and optional VHDL)"
-    )
-    p.add_argument("file")
-    p.add_argument("--encoding", default="binary",
-                   choices=["binary", "gray", "one-hot", "johnson"])
-    p.add_argument("--out", help="write BLIF here instead of stdout")
-    p.add_argument("--vhdl", help="also write structural VHDL here")
-    p.set_defaults(func=_cmd_blif)
 
     p = sub.add_parser(
         "serve",

@@ -38,12 +38,11 @@ from repro.power.estimator import PowerReport
 from repro.power.params import PowerParams, VIRTEX2_PARAMS
 from repro.romfsm.impl import RomFsmImplementation
 from repro.romfsm.mapper import map_fsm_to_rom
-from repro.synth.ff_synth import FfImplementation, synthesize_ff
+from repro.synth.ff_synth import FfImplementation
 
 __all__ = [
     "PAPER_FREQUENCIES_MHZ",
     "EvaluationResult",
-    "implement_ff",
     "implement_rom",
     "evaluate_benchmark",
     "evaluate_benchmark_detailed",
@@ -87,11 +86,6 @@ class EvaluationResult:
         """Table 3's headline: ROM+clock-control saving over FF."""
         key = f"{frequency_mhz:g}"
         return 100.0 * self.rom_cc_power[key].saving_vs(self.ff_power[key])
-
-
-def implement_ff(fsm: FSM, encoding: str = "binary") -> FfImplementation:
-    """Synthesize the FF/LUT baseline."""
-    return synthesize_ff(fsm, encoding_style=encoding)
 
 
 def implement_rom(

@@ -40,7 +40,6 @@ from repro.fsm.assign import (
 )
 from repro.fsm.markov import (
     expected_idle_fraction,
-    expected_output_activity,
     expected_state_bit_activity,
     stationary_distribution,
     transition_matrix,
@@ -81,5 +80,4 @@ __all__ = [
     "stationary_distribution",
     "expected_idle_fraction",
     "expected_state_bit_activity",
-    "expected_output_activity",
 ]

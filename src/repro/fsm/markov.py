@@ -40,7 +40,6 @@ __all__ = [
     "clear_stationary_cache",
     "expected_idle_fraction",
     "expected_state_bit_activity",
-    "expected_output_activity",
 ]
 
 
@@ -220,33 +219,4 @@ def expected_state_bit_activity(
                 continue
             diff = encoding.encode(src) ^ encoding.encode(dst)
             expected += pi[i] * matrix[i, j] * bin(diff).count("1")
-    return float(expected)
-
-
-def expected_output_activity(fsm: FSM) -> float:
-    """Expected output-bit toggles per cycle (uniform inputs).
-
-    Uses the stationary step distribution over (state, output) pairs:
-    consecutive outputs are approximated as independent draws from each
-    state's output distribution weighted by occupancy — exact for Moore
-    chains in equilibrium, a close estimate for Mealy ones.
-    """
-    pi = stationary_for(fsm)
-    total = float(1 << fsm.num_inputs)
-    # Joint distribution over emitted output words.
-    word_prob: Dict[int, float] = {}
-    for i, state in enumerate(fsm.states):
-        covered = 0.0
-        for t in fsm.transitions_from(state):
-            mass = t.inputs.num_minterms() / total
-            covered += mass
-            word = t.output_bits()
-            word_prob[word] = word_prob.get(word, 0.0) + pi[i] * mass
-        hold = max(0.0, 1.0 - covered)
-        if hold > 0:
-            word_prob[0] = word_prob.get(0, 0.0) + pi[i] * hold
-    expected = 0.0
-    for a, pa in word_prob.items():
-        for b, pb in word_prob.items():
-            expected += pa * pb * bin(a ^ b).count("1")
     return float(expected)

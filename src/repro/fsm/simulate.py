@@ -2,8 +2,9 @@
 
 This module plays the role of the ModelSim simulation in the paper's
 flow (Fig. 6): it drives the machine with input vectors and records the
-per-cycle trace from which switching activities (the ``.vcd`` file fed
-to XPower) are later extracted by :mod:`repro.power.activity`.
+per-cycle trace.  Switching activities are extracted from the
+implementation simulators' toggle counts by :mod:`repro.power.activity`
+in process, where the paper passed a ``.vcd`` file to XPower.
 
 Two stimulus generators are provided:
 

@@ -8,12 +8,7 @@ LUTs whose count, depth and fanout drive the area/power/timing models.
 """
 
 from repro.logic.cube import Cube, Cover
-from repro.logic.minimize import (
-    complement,
-    espresso,
-    is_tautology,
-    minimize_function,
-)
+from repro.logic.minimize import complement, espresso, is_tautology
 from repro.logic.network import LogicNetwork, Node, NodeKind, sop_to_network
 from repro.logic.truthtable import TruthTable
 from repro.logic.lutmap import LutMapping, MappedLut, map_network
@@ -24,7 +19,6 @@ __all__ = [
     "complement",
     "espresso",
     "is_tautology",
-    "minimize_function",
     "LogicNetwork",
     "Node",
     "NodeKind",

@@ -470,18 +470,3 @@ class Cover:
 
     def __repr__(self) -> str:
         return f"Cover({self.n_vars}, {len(self.cubes)} cubes)"
-
-
-def semantically_equal(a: Cover, b: Cover, samples: Optional[Iterable[int]] = None) -> bool:
-    """Check functional equality of two covers.
-
-    Exhaustive for up to 16 variables; above that the caller should supply
-    ``samples`` (an iterable of minterms) for a sampled check.
-    """
-    if a.n_vars != b.n_vars:
-        return False
-    if samples is None:
-        if a.n_vars > 16:
-            raise ValueError("exhaustive comparison limited to 16 variables")
-        samples = range(1 << a.n_vars)
-    return all(a.evaluate(m) == b.evaluate(m) for m in samples)

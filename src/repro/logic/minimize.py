@@ -29,7 +29,6 @@ __all__ = [
     "is_tautology",
     "complement",
     "espresso",
-    "minimize_function",
 ]
 
 # One cube: (zero_mask, one_mask), bit i of each for variable i.
@@ -361,12 +360,3 @@ def espresso(on: Cover, dc: Optional[Cover] = None, max_iters: int = 8) -> Cover
         else:
             break
     return _to_cover(n, best)
-
-
-def minimize_function(
-    on_patterns: List[str], dc_patterns: Optional[List[str]] = None
-) -> Cover:
-    """Convenience wrapper: minimize a function given as pattern strings."""
-    on = Cover.from_strings(on_patterns)
-    dc = Cover.from_strings(dc_patterns) if dc_patterns else None
-    return espresso(on, dc)

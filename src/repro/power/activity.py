@@ -4,7 +4,8 @@ This module converts the raw per-net toggle counts produced by the
 netlist simulators (:mod:`repro.synth.netsim` for the FF baseline,
 :meth:`repro.romfsm.impl.RomFsmImplementation.run` for the ROM design)
 into the ``(capacitive load, toggles-per-cycle)`` pairs the estimator
-sums — the role of the ``.vcd``-to-XPower hand-off in the paper's flow.
+sums.  This replaces, in process, the paper's ``.vcd``-to-XPower
+hand-off.
 
 Every *driver* net is accounted exactly once with its true fanout:
 
@@ -24,11 +25,9 @@ from typing import Dict, List, Tuple
 from repro.romfsm.impl import RomFsmImplementation, RomTrace
 from repro.synth.ff_synth import FfImplementation
 from repro.synth.netsim import NetlistTrace
-from repro.synth.wordsim import pack_column, word_toggles
 
 __all__ = ["NetActivity", "FfActivity", "RomActivity",
-           "extract_ff_activity", "extract_rom_activity",
-           "ff_activity_from_vcd"]
+           "extract_ff_activity", "extract_rom_activity"]
 
 
 @dataclass(frozen=True)
@@ -133,45 +132,6 @@ def _aux_mapping_nets(
         )
         lut_activity[f"{prefix}:{name}"] = alpha
     return nets, lut_activity
-
-
-def ff_activity_from_vcd(impl: FfImplementation, vcd_source) -> FfActivity:
-    """FF-baseline activity from an *external* VCD waveform.
-
-    This is the paper's exact hand-off (ModelSim ``.vcd`` -> XPower):
-    any simulator that dumped the netlist's nets can drive the power
-    estimator.  ``vcd_source`` is VCD text, a path, or pre-parsed
-    columns; net names must match the mapped netlist (``in{i}``,
-    ``state{b}``, LUT nets, as emitted by
-    :func:`repro.power.vcd.ff_netlist_columns`).
-    """
-    from repro.power.vcd import parse_vcd
-
-    if isinstance(vcd_source, dict):
-        columns = vcd_source
-    else:
-        text = (
-            vcd_source.read_text()
-            if hasattr(vcd_source, "read_text") else str(vcd_source)
-        )
-        columns = parse_vcd(text)
-    if not columns:
-        raise ValueError("VCD contains no signals")
-    num_cycles = max(len(col) for col in columns.values())
-    # Word-parallel toggle counting: pack each column once, then one
-    # XOR/shift/popcount per signal instead of a per-sample Python loop.
-    toggles = {
-        name: word_toggles(pack_column(col), len(col))
-        for name, col in columns.items()
-    }
-
-    class _Trace:
-        pass
-
-    trace = _Trace()
-    trace.num_cycles = num_cycles
-    trace.net_toggles = toggles
-    return extract_ff_activity(impl, trace)
 
 
 def extract_rom_activity(

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["format_power_table", "format_table"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -33,18 +33,3 @@ def format_table(
             "  ".join(cells[i].ljust(columns[i]) for i in range(len(cells)))
         )
     return "\n".join(lines)
-
-
-def format_power_table(
-    rows: Dict[str, Dict[str, float]], frequencies_mhz: Sequence[float]
-) -> str:
-    """Benchmarks x frequencies table of total power in mW.
-
-    ``rows`` maps benchmark name to ``{f"{freq}": total_mw}`` entries.
-    """
-    headers = ["benchmark"] + [f"{f:g} MHz (mW)" for f in frequencies_mhz]
-    body = []
-    for name, per_freq in rows.items():
-        body.append([name] + [per_freq.get(f"{f:g}", float("nan"))
-                              for f in frequencies_mhz])
-    return format_table(headers, body)

@@ -25,7 +25,6 @@ from repro.romfsm.vhdl import (
     bram_init_strings,
     bram_initp_strings,
     rom_fsm_vhdl,
-    rom_fsm_vhdl_structural,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ClockControl",
     "synthesize_clock_control",
     "rom_fsm_vhdl",
-    "rom_fsm_vhdl_structural",
     "bram_init_strings",
     "bram_initp_strings",
 ]

@@ -7,12 +7,17 @@ blockrams" (section 5).  This module is that program:
 
 * :func:`bram_init_strings` packs the ROM words into the Virtex-II
   ``INIT_00`` … ``INIT_3F`` attribute strings (64 attributes × 256 bits
-  covering the 16-Kbit data array, hex, MSB-first within each string);
+  covering the 16-Kbit data array, hex, MSB-first within each string),
+  and :func:`bram_initp_strings` packs the parity bits of x9/x18/x36
+  words into ``INITP_00`` … ``INITP_07``; together they are the block's
+  full INIT image;
 * :func:`rom_fsm_vhdl` emits a complete synthesizable entity: a ROM
   array with a synchronous read process (the template synthesis tools
   infer a BlockRAM from), the state/input address concatenation, the
   per-state input multiplexer when column compaction is in use, and the
-  idle-state enable expression when clock control is in use.
+  idle-state enable expression when clock control is in use.  The
+  block is inferred rather than instantiated, so series-joined
+  mappings are covered too.
 
 The emitted text is deterministic, making it testable and diffable.
 """
@@ -23,8 +28,7 @@ from typing import List, Sequence
 
 from repro.romfsm.impl import RomFsmImplementation
 
-__all__ = ["bram_init_strings", "bram_initp_strings", "rom_fsm_vhdl",
-           "rom_fsm_vhdl_structural"]
+__all__ = ["bram_init_strings", "bram_initp_strings", "rom_fsm_vhdl"]
 
 _INIT_BITS = 256            # bits per INIT_xx / INITP_xx attribute
 _INIT_COUNT = 64            # INIT_00 .. INIT_3F
@@ -197,19 +201,6 @@ def _emit_output_section(emit, impl: RomFsmImplementation) -> None:
         emit(f"  dout <= q({max(layout.output_bits - 1, 0)} downto 0);")
 
 
-def _emit_entity_header(
-    emit, impl: RomFsmImplementation, name: str, comment: str
-) -> None:
-    fsm = impl.fsm
-    emit(f"-- {comment}")
-    emit(f"-- FSM {fsm.name}: {fsm.num_states} states, {fsm.num_inputs} inputs,")
-    emit(f"--   {fsm.num_outputs} outputs; BRAM {impl.config.name} "
-         f"x{impl.num_brams}")
-    emit("library ieee;")
-    emit("use ieee.std_logic_1164.all;")
-    emit("use ieee.numeric_std.all;")
-
-
 def rom_fsm_vhdl(impl: RomFsmImplementation, entity_name: str = None) -> str:
     """Emit a synthesizable VHDL entity for ``impl``."""
     name = entity_name or f"{impl.fsm.name}_romfsm"
@@ -277,133 +268,4 @@ def rom_fsm_vhdl(impl: RomFsmImplementation, entity_name: str = None) -> str:
     _emit_output_section(emit, impl)
 
     emit("end architecture rtl;")
-    return "\n".join(lines) + "\n"
-
-
-_PRIMITIVE_OF_WIDTH = {36: "RAMB16_S36", 18: "RAMB16_S18", 9: "RAMB16_S9",
-                       4: "RAMB16_S4", 2: "RAMB16_S2", 1: "RAMB16_S1"}
-
-
-def rom_fsm_vhdl_structural(
-    impl: RomFsmImplementation, entity_name: str = None
-) -> str:
-    """Emit VHDL instantiating the Virtex-II RAMB16 primitives directly.
-
-    This is the style the paper used: "the blockrams were instantiated
-    in the VHDL code and connection to their address lines and outputs
-    were made.  The contents of the blockrams were initialized in the
-    VHDL code" (section 5).  One ``RAMB16_Sw`` primitive is emitted per
-    parallel lane with its ``INIT_xx``/``INITP_xx`` generics generated
-    by :func:`bram_init_strings` / :func:`bram_initp_strings`.
-
-    Series-joined mappings (address spaces beyond one block) use
-    vendor-specific cascading and are not supported by this emitter;
-    use :func:`rom_fsm_vhdl` (inferred style) for those.
-    """
-    if impl.series_brams > 1:
-        raise ValueError(
-            "structural emission supports single-depth mappings only; "
-            "use rom_fsm_vhdl for series-joined blocks"
-        )
-    name = entity_name or f"{impl.fsm.name}_romfsm"
-    fsm = impl.fsm
-    layout = impl.layout
-    enc = impl.encoding
-    config = impl.config
-    primitive = _PRIMITIVE_OF_WIDTH[config.width]
-    lanes = impl.parallel_brams
-    lines: List[str] = []
-    emit = lines.append
-
-    _emit_entity_header(
-        emit, impl, name,
-        "Generated by repro.romfsm.vhdl (structural RAMB16 instantiation)",
-    )
-    emit("library unisim;")
-    emit("use unisim.vcomponents.all;")
-    emit("")
-    emit(f"entity {name} is")
-    emit("  port (")
-    emit("    clk    : in  std_logic;")
-    emit("    reset  : in  std_logic;")
-    emit(f"    din    : in  std_logic_vector({max(fsm.num_inputs - 1, 0)} "
-         f"downto 0);")
-    emit(f"    dout   : out std_logic_vector({max(fsm.num_outputs - 1, 0)} "
-         f"downto 0)")
-    emit("  );")
-    emit(f"end entity {name};")
-    emit("")
-    emit(f"architecture structural of {name} is")
-    emit(f"  signal q      : std_logic_vector({layout.data_bits - 1} "
-         f"downto 0);")
-    emit(f"  signal addr   : std_logic_vector({config.addr_bits - 1} "
-         f"downto 0) := (others => '0');")
-    emit(f"  signal state  : std_logic_vector({enc.width - 1} downto 0);")
-    if layout.input_bits:
-        emit(f"  signal sel_in : std_logic_vector({layout.input_bits - 1} "
-             f"downto 0);")
-    emit("  signal en     : std_logic;")
-    emit("  signal wide_addr : std_logic_vector"
-         f"({layout.addr_bits - 1} downto 0);")
-    emit("begin")
-    emit(f"  state <= q({layout.data_bits - 1} downto {layout.output_bits});")
-
-    # The shared-helper sections drive `wide_addr`; pad up to the
-    # primitive's port width.
-    mux_lines: List[str] = []
-    _emit_mux_section(mux_lines.append, impl)
-    for line in mux_lines:
-        emit(line.replace("addr <=", "wide_addr <="))
-    pad = config.addr_bits - layout.addr_bits
-    if pad > 0:
-        emit(f'  addr <= "{"0" * pad}" & wide_addr;')
-    else:
-        emit("  addr <= wide_addr;")
-
-    _emit_enable_section(emit, impl)
-
-    for lane in range(lanes):
-        lo = lane * config.width
-        hi = min(lo + config.width, layout.data_bits) - 1
-        lane_bits = hi - lo + 1
-        lane_words = [
-            (word >> lo) & ((1 << lane_bits) - 1) for word in impl.contents
-        ]
-        init = bram_init_strings(lane_words, config.width)
-        initp = bram_initp_strings(lane_words, config.width)
-        emit(f"  lane{lane}: {primitive}")
-        emit("    generic map (")
-        hex_chars = -(-config.width // 4)
-        emit('      INIT  => X"' + "0" * hex_chars + '",')
-        emit('      SRVAL => X"' + "0" * hex_chars + '",')
-        generics = [
-            f'      INIT_{i:02X} => X"{value}"'
-            for i, value in enumerate(init)
-        ]
-        if config.width % 9 == 0:
-            generics += [
-                f'      INITP_{i:02X} => X"{value}"'
-                for i, value in enumerate(initp)
-            ]
-        emit(",\n".join(generics))
-        emit("    )")
-        emit("    port map (")
-        if config.width == 1:
-            emit(f"      DO(0) => q({lo}),")
-        else:
-            emit(f"      DO({lane_bits - 1} downto 0) => "
-                 f"q({hi} downto {lo}),")
-            if lane_bits < config.width:
-                emit(f"      DO({config.width - 1} downto {lane_bits}) "
-                     f"=> open,")
-        emit("      DI   => (others => '0'),")
-        emit("      ADDR => addr,")
-        emit("      CLK  => clk,")
-        emit("      EN   => en,")
-        emit("      SSR  => reset,")
-        emit("      WE   => '0'")
-        emit("    );")
-
-    _emit_output_section(emit, impl)
-    emit("end architecture structural;")
     return "\n".join(lines) + "\n"

@@ -7,12 +7,6 @@ the role played by SIS + Synplify Pro in the paper's experimental flow.
 """
 
 from repro.synth import codegen
-from repro.synth.blif import (
-    BlifModel,
-    ff_implementation_vhdl,
-    parse_blif,
-    write_blif,
-)
 from repro.synth.ff_synth import FfImplementation, synthesize_ff
 from repro.synth.netsim import NetlistTrace, simulate_ff_netlist
 
@@ -22,8 +16,4 @@ __all__ = [
     "synthesize_ff",
     "NetlistTrace",
     "simulate_ff_netlist",
-    "BlifModel",
-    "write_blif",
-    "parse_blif",
-    "ff_implementation_vhdl",
 ]

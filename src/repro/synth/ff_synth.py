@@ -1,6 +1,8 @@
 """Synthesis of the conventional FF + LUT FSM implementation.
 
-Pipeline (mirroring the paper's SIS -> blif -> Synplify -> mapped flow):
+Pipeline (the paper's SIS -> blif -> Synplify -> mapped flow, run in
+process: the netlist passes between the steps as objects, not as a
+``.blif`` file):
 
 1. *Complete* the STG with hold/zero self-loops so the hardware's
    behaviour on unspecified (state, input) pairs matches the reference

@@ -1,10 +1,11 @@
 """Cycle-accurate simulation of the mapped FF netlist with per-net
 switching statistics.
 
-This is the ModelSim + ``.vcd`` stage of the paper's flow applied to the
-FF baseline: the netlist is clocked through a stimulus and every net's
+This is the ModelSim stage of the paper's flow applied to the FF
+baseline: the netlist is clocked through a stimulus and every net's
 toggle count is recorded.  :mod:`repro.power.activity` converts the
-counts into the switching activities the XPower-style estimator needs.
+counts into the switching activities the XPower-style estimator needs;
+they are handed over in process, so no ``.vcd`` file is written.
 
 The simulation is word-parallel: the state stream is derived first from
 the STG's next-state table (one lookup per cycle), every combinational net is then evaluated

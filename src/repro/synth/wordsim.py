@@ -24,9 +24,7 @@ from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 
 __all__ = [
     "popcount",
-    "pack_column",
     "pack_bit_column",
-    "unpack_word",
     "transpose_words",
     "word_toggles",
     "evaluate_mapping_words",
@@ -39,15 +37,6 @@ except AttributeError:  # pragma: no cover - version fallback
         return bin(x).count("1")
 
 
-def pack_column(values: Sequence[int]) -> int:
-    """Pack a 0/1 sample column into one word (bit ``k`` = cycle ``k``)."""
-    word = 0
-    for k, v in enumerate(values):
-        if v & 1:
-            word |= 1 << k
-    return word
-
-
 def pack_bit_column(values: Sequence[int], bit: int) -> int:
     """Pack bit ``bit`` of each multi-bit sample into one word."""
     probe = 1 << bit
@@ -56,11 +45,6 @@ def pack_bit_column(values: Sequence[int], bit: int) -> int:
         if v & probe:
             word |= 1 << k
     return word
-
-
-def unpack_word(word: int, num_cycles: int) -> List[int]:
-    """Expand a packed word back into its per-cycle 0/1 column."""
-    return [(word >> k) & 1 for k in range(num_cycles)]
 
 
 def transpose_words(bit_words: Sequence[int], num_cycles: int) -> List[int]:

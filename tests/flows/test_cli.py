@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.flows.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 DETECTOR = """
 .i 1
@@ -136,28 +143,6 @@ class TestCommands:
     def test_eval_without_profile_omits_stage_table(self, kiss_file, capsys):
         assert main(["eval", kiss_file, "--cycles", "150"]) == 0
         assert "ff-synth" not in capsys.readouterr().out
-
-    def test_blif_to_stdout(self, kiss_file, capsys):
-        assert main(["blif", kiss_file]) == 0
-        out = capsys.readouterr().out
-        assert ".model det" in out
-        assert ".latch" in out
-
-    def test_blif_to_files(self, kiss_file, tmp_path, capsys):
-        blif = str(tmp_path / "det.blif")
-        vhdl = str(tmp_path / "det.vhd")
-        assert main(["blif", kiss_file, "--out", blif, "--vhdl", vhdl]) == 0
-        assert ".model det" in (tmp_path / "det.blif").read_text()
-        assert "entity det_ff is" in (tmp_path / "det.vhd").read_text()
-
-    def test_map_structural_vhdl(self, kiss_file, tmp_path, capsys):
-        target = str(tmp_path / "out.vhd")
-        assert main([
-            "map", kiss_file, "--vhdl", target, "--structural",
-        ]) == 0
-        text = (tmp_path / "out.vhd").read_text()
-        assert "RAMB16_S36" in text
-        assert "structural RAMB16" in capsys.readouterr().out
 
     def test_dump_bench_writes_kiss_files(self, tmp_path, capsys):
         from repro.fsm.kiss import load_kiss_file
@@ -301,6 +286,40 @@ class TestFriendlyErrors:
             "submit", str(kiss), "--port", "1", "--timeout", "2",
         ]) == 2
         self._assert_one_line_error(capsys, "unreachable")
+
+
+class TestRemovedSurface:
+    """The BLIF command and the structural VHDL flag are gone: argparse
+    rejects them with its usage error (exit 2), before any work runs."""
+
+    def _run(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro.flows.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def _assert_usage_error(self, proc, needle):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage:")
+        assert needle in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_blif_command_rejected(self, kiss_file):
+        proc = self._run("blif", kiss_file)
+        self._assert_usage_error(proc, "invalid choice")
+        assert "blif" in proc.stderr
+
+    def test_structural_flag_rejected(self, kiss_file, tmp_path):
+        target = tmp_path / "out.vhd"
+        proc = self._run("map", kiss_file, "--vhdl", str(target),
+                         "--structural")
+        self._assert_usage_error(proc, "unrecognized arguments: --structural")
+        assert not target.exists()
 
 
 class TestTuneCommand:

@@ -5,12 +5,12 @@ import pytest
 from repro.flows.flow import (
     PAPER_FREQUENCIES_MHZ,
     evaluate_benchmark,
-    implement_ff,
     implement_rom,
     moore_output_mode,
 )
 from repro.bench.suite import load_benchmark
 from repro.fsm.kiss import parse_kiss
+from repro.synth.ff_synth import synthesize_ff
 
 DETECTOR = """
 .i 1
@@ -99,5 +99,5 @@ class TestHelpers:
         assert impl.moore_output_mapping is not None
 
     def test_implement_ff_encoding_choice(self):
-        impl = implement_ff(load_benchmark("dk14"), encoding="one-hot")
+        impl = synthesize_ff(load_benchmark("dk14"), encoding_style="one-hot")
         assert impl.encoding.style == "one-hot"

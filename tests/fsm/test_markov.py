@@ -10,7 +10,6 @@ from repro.fsm.kiss import parse_kiss
 from repro.fsm.machine import FSM
 from repro.fsm.markov import (
     expected_idle_fraction,
-    expected_output_activity,
     expected_state_bit_activity,
     stationary_distribution,
     transition_matrix,
@@ -118,10 +117,6 @@ class TestPredictions:
             fsm, anneal_encoding(fsm, seed=1)
         )
         assert annealed < binary
-
-    def test_output_activity_positive_for_live_machine(self):
-        fsm = parse_kiss(DETECTOR, "det")
-        assert 0 < expected_output_activity(fsm) < fsm.num_outputs
 
     def test_idle_machine_predicts_high_idleness(self):
         fsm = FSM("sleepy", 2, 1, ["A", "B"], "A")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logic.cube import Cover, Cube, semantically_equal
+from repro.logic.cube import Cover, Cube
 
 
 class TestCubeConstruction:
@@ -228,20 +228,3 @@ class TestCover:
         cover = Cover.from_strings(["10-", "--1"])
         assert cover.num_literals() == 3
 
-    def test_semantically_equal_exhaustive(self):
-        a = Cover.from_strings(["1--", "-1-"])
-        b = Cover.from_strings(["11-", "10-", "01-"])
-        assert semantically_equal(a, b)
-
-    def test_semantically_equal_detects_difference(self):
-        a = Cover.from_strings(["1--"])
-        b = Cover.from_strings(["11-"])
-        assert not semantically_equal(a, b)
-
-    def test_semantically_equal_arity_mismatch(self):
-        assert not semantically_equal(Cover(2), Cover(3))
-
-    def test_semantically_equal_too_wide_needs_samples(self):
-        with pytest.raises(ValueError):
-            semantically_equal(Cover(17), Cover(17))
-        assert semantically_equal(Cover(17), Cover(17), samples=range(64))

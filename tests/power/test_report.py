@@ -1,6 +1,6 @@
 """Unit tests for table formatting."""
 
-from repro.power.report import format_power_table, format_table
+from repro.power.report import format_table
 
 
 class TestFormatTable:
@@ -24,19 +24,3 @@ class TestFormatTable:
     def test_non_float_cells_stringified(self):
         text = format_table(["n", "v"], [["name", 7]])
         assert "name" in text and "7" in text
-
-
-class TestFormatPowerTable:
-    def test_rows_and_frequency_headers(self):
-        rows = {
-            "dk14": {"50": 1.0, "100": 2.0},
-            "keyb": {"50": 3.0, "100": 6.0},
-        }
-        text = format_power_table(rows, [50.0, 100.0])
-        assert "50 MHz (mW)" in text
-        assert "dk14" in text and "keyb" in text
-        assert "6.00" in text
-
-    def test_missing_entries_render_nan(self):
-        text = format_power_table({"x": {}}, [85.0])
-        assert "nan" in text

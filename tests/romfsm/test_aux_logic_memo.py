@@ -18,7 +18,7 @@ from repro.pipeline.artifact import fingerprint
 from repro.power.activity import extract_rom_activity
 from repro.romfsm import mapper
 from repro.romfsm.mapper import clear_aux_logic_cache, map_fsm_to_rom
-from repro.romfsm.vhdl import rom_fsm_vhdl, rom_fsm_vhdl_structural
+from repro.romfsm.vhdl import rom_fsm_vhdl
 
 # Compaction and clock control on: both auxiliary networks are built.
 BOTH = dict(force_compaction=True, clock_control=True)
@@ -130,7 +130,6 @@ def test_shared_networks_are_read_only_downstream(name):
     trace = impl.run(random_stimulus(fsm.num_inputs, 200, seed=3))
     extract_rom_activity(impl, trace)
     rom_fsm_vhdl(impl)
-    rom_fsm_vhdl_structural(impl)
 
     assert [fingerprint(net) for net in shared] == before
     again = map_fsm_to_rom(fsm, **BOTH)

@@ -21,7 +21,7 @@ from repro.logic.truthtable import TruthTable
 from repro.synth import codegen
 from repro.synth.ff_synth import synthesize_ff
 from repro.synth.netsim import simulate_ff_netlist
-from repro.synth.wordsim import evaluate_mapping_words, pack_column
+from repro.synth.wordsim import evaluate_mapping_words, pack_bit_column
 from tests.reference_sim import simulate_ff_netlist_reference
 from tests.romfsm.test_equivalence_properties import _make_spec, spec_strategy
 
@@ -59,7 +59,7 @@ class TestCompiledMappingEquivalence:
         )
         mask = (1 << cycles) - 1
         words = {
-            net: pack_column([(s >> i) & 1 for s in rng_stim])
+            net: pack_bit_column(rng_stim, i)
             for i, net in enumerate(mapping.input_nets)
         }
         compiled = codegen.compile_mapping(mapping)

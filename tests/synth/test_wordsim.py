@@ -18,10 +18,8 @@ from repro.synth.ff_synth import synthesize_ff
 from repro.synth.wordsim import (
     evaluate_mapping_words,
     pack_bit_column,
-    pack_column,
     popcount,
     transpose_words,
-    unpack_word,
     word_toggles,
 )
 from tests.romfsm.test_equivalence_properties import _make_spec
@@ -36,15 +34,15 @@ class TestPacking:
     @given(column=bit_columns)
     @SETTINGS
     def test_pack_unpack_roundtrip(self, column):
-        word = pack_column(column)
-        assert unpack_word(word, len(column)) == column
+        word = pack_bit_column(column, 0)
+        assert [(word >> k) & 1 for k in range(len(column))] == column
 
     @given(column=st.lists(st.integers(0, 255), max_size=80),
            bit=st.integers(0, 7))
     @SETTINGS
     def test_pack_bit_column_matches_manual(self, column, bit):
         word = pack_bit_column(column, bit)
-        assert unpack_word(word, len(column)) == [
+        assert [(word >> k) & 1 for k in range(len(column))] == [
             (v >> bit) & 1 for v in column
         ]
 
@@ -64,7 +62,7 @@ class TestWordToggles:
     @given(column=bit_columns)
     @SETTINGS
     def test_matches_per_cycle_toggle_counts(self, column):
-        word = pack_column(column)
+        word = pack_bit_column(column, 0)
         assert word_toggles(word, len(column)) == toggle_counts(column)
 
     def test_degenerate_lengths(self):
@@ -90,14 +88,14 @@ class TestEvaluateWord:
             [rng.randint(0, 1) for _ in range(cycles)]
             for _ in range(n_inputs)
         ]
-        words = [pack_column(col) for col in columns]
+        words = [pack_bit_column(col, 0) for col in columns]
         mask = (1 << cycles) - 1
-        expected = pack_column([
+        expected = pack_bit_column([
             table.evaluate(
                 sum(columns[i][k] << i for i in range(n_inputs))
             )
             for k in range(cycles)
-        ])
+        ], 0)
         assert table.evaluate_word(words, mask) == expected
 
 
@@ -113,7 +111,7 @@ class TestEvaluateMappingWords:
             for _ in range(cycles)
         ]
         input_words = {
-            name: pack_column([cyc[name] for cyc in per_cycle])
+            name: pack_bit_column([cyc[name] for cyc in per_cycle], 0)
             for name in mapping.input_nets
         }
         mask = (1 << cycles) - 1
