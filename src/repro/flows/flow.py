@@ -28,9 +28,10 @@ from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
 from repro.pipeline.cache import ArtifactCache, resolve_cache
 from repro.pipeline.driver import RunManifest, run_sharded
-from repro.pipeline.pipeline import PipelineReport
+from repro.pipeline.pipeline import PipelineReport, PipelineResult
 from repro.pipeline.stages import (
     PowerBundle,
+    ReportedFacts,
     build_evaluation_pipeline,
     paper_moore_output_mode,
 )
@@ -59,15 +60,24 @@ DEFAULT_CYCLES = 2000
 # Re-exported for API compatibility; the rule lives with the stages now.
 moore_output_mode = paper_moore_output_mode
 
+# The stages whose values a result hands out on demand; it keeps no
+# other artifact, so the simulate and activity bundles are not held.
+_IMPLEMENTATION_STAGES = ("parse", "ff-synth", "rom-map", "rom-cc")
+
 
 @dataclass
 class EvaluationResult:
-    """Everything one benchmark contributes to the paper's tables."""
+    """Everything one benchmark contributes to the paper's tables.
 
-    fsm: FSM
-    ff_impl: FfImplementation
-    rom_impl: RomFsmImplementation
-    rom_cc_impl: Optional[RomFsmImplementation]
+    The fields are the reported values, all from the ``power`` stage.
+    ``fsm``, ``ff_impl``, ``rom_impl`` and ``rom_cc_impl`` read their
+    stage artifacts, which a warm run unpickles on first access (and a
+    failed unpickle raises :class:`~repro.pipeline.cache.CacheLoadError`).
+    The artifacts are not fields, so ``==`` and
+    :func:`~repro.pipeline.artifact.fingerprint` see only reported values.
+    """
+
+    facts: ReportedFacts
     # Power per frequency, keyed "{freq:g}".
     ff_power: Dict[str, PowerReport]
     rom_power: Dict[str, PowerReport]
@@ -76,6 +86,23 @@ class EvaluationResult:
     ff_timing: TimingReport
     rom_timing: TimingReport
     rom_cc_timing: Optional[TimingReport]
+
+    @property
+    def fsm(self) -> FSM:
+        return self._artifacts["parse"].value
+
+    @property
+    def ff_impl(self) -> FfImplementation:
+        return self._artifacts["ff-synth"].value
+
+    @property
+    def rom_impl(self) -> RomFsmImplementation:
+        return self._artifacts["rom-map"].value
+
+    @property
+    def rom_cc_impl(self) -> Optional[RomFsmImplementation]:
+        art = self._artifacts.get("rom-cc")
+        return None if art is None else art.value
 
     def saving_percent(self, frequency_mhz: float = 100.0) -> float:
         """Table 2's headline: ROM saving over FF at ``frequency_mhz``."""
@@ -156,15 +183,12 @@ def evaluation_config(
     return config
 
 
-def _assemble_result(result) -> EvaluationResult:
-    # Reads only the stages it reports: on a warm run the simulate,
-    # activity and complete-encode values stay pickled on disk.
-    power: PowerBundle = result.value("power")
-    return EvaluationResult(
-        fsm=result.value("parse"),
-        ff_impl=result.value("ff-synth"),
-        rom_impl=result.value("rom-map"),
-        rom_cc_impl=result.get("rom-cc"),
+def _assemble_result(outcome: PipelineResult) -> EvaluationResult:
+    # Reads only power: on a warm run every other value stays pickled
+    # until something asks the result for an implementation.
+    power: PowerBundle = outcome.value("power")
+    result = EvaluationResult(
+        facts=power.facts,
         ff_power=power.ff_power,
         rom_power=power.rom_power,
         rom_cc_power=power.rom_cc_power,
@@ -173,6 +197,11 @@ def _assemble_result(result) -> EvaluationResult:
         rom_timing=power.rom_timing,
         rom_cc_timing=power.rom_cc_timing,
     )
+    result._artifacts = {
+        stage: outcome.artifacts[stage]
+        for stage in _IMPLEMENTATION_STAGES if stage in outcome.artifacts
+    }
+    return result
 
 
 def evaluate_benchmark_detailed(

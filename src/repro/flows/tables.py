@@ -108,9 +108,9 @@ def table1(results: Optional[Dict[str, EvaluationResult]] = None) -> TableResult
     results = results or run_all()
     rows = []
     for name in PAPER_BENCHMARKS:
-        r = results[name]
-        ff = r.ff_impl.utilization
-        rom = r.rom_impl.utilization
+        facts = results[name].facts
+        ff = facts.ff_utilization
+        rom = facts.rom_utilization
         rows.append([
             name, ff.luts, ff.ffs, ff.slices, rom.luts, rom.slices, rom.brams,
         ])
@@ -170,9 +170,7 @@ def table4(results: Optional[Dict[str, EvaluationResult]] = None) -> TableResult
     results = results or run_all()
     rows = []
     for name in PAPER_BENCHMARKS:
-        r = results[name]
-        cc = r.rom_cc_impl.clock_control
-        extra_luts = cc.num_luts
+        extra_luts = results[name].facts.cc_luts
         # Slices occupied by the overhead LUTs alone.
         extra_slices = -(-extra_luts // 2)
         rows.append([name, extra_luts, extra_slices])

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Tuple
 
 from repro.fsm.encoding import StateEncoding, binary_encoding, gray_encoding
 from repro.fsm.machine import FSM, FsmError
+from repro.logic.cube import _popcount
 
 __all__ = [
     "transition_weights",
@@ -99,59 +100,69 @@ def anneal_encoding(
     rng = random.Random(seed)
     weights = transition_weights(fsm)
 
-    codes: Dict[str, int] = {}
     order = [fsm.reset_state] + [s for s in states if s != fsm.reset_state]
-    for index, state in enumerate(order):
-        codes[state] = index
+    if len(states) < 2 or not weights:
+        return StateEncoding(
+            "annealed", width, {state: i for i, state in enumerate(order)}
+        )
 
-    def cost_of(assignment: Dict[str, int]) -> float:
+    # Codes live in a list indexed like ``states``; a move edits it in
+    # place and a rejected move is undone.  The cost sums the edges in
+    # ``weights`` order, so every float matches a full recomputation
+    # over a code dict, and so does every accept/reject decision.
+    index = {state: i for i, state in enumerate(states)}
+    codes = [0] * len(states)
+    for code, state in enumerate(order):
+        codes[index[state]] = code
+    items = [(index[src], index[dst], w) for (src, dst), w in weights.items()]
+
+    def cost_of() -> float:
         total = 0.0
-        for (src, dst), weight in weights.items():
-            diff = assignment[src] ^ assignment[dst]
-            total += weight * bin(diff).count("1")
+        for src, dst, weight in items:
+            total += weight * _popcount(codes[src] ^ codes[dst])
         return total
 
-    current_cost = cost_of(codes)
-    best = dict(codes)
+    current_cost = cost_of()
+    best = list(codes)
     best_cost = current_cost
     temperature = initial_temperature
 
     # All states move freely; the reset pin is restored afterwards by an
     # XOR translation, which preserves every pairwise Hamming distance
-    # and therefore the cost.
-    movable = states
-    if len(movable) < 2 or not weights:
-        return StateEncoding("annealed", width, codes)
-
-    used = set(codes.values())
-    free_codes = [c for c in range(code_space) if c not in used]
+    # and therefore the cost.  ``rng.choice`` draws by sequence length,
+    # so choosing an index draws what choosing a state name did.
+    movable = range(len(states))
+    free_codes = [c for c in range(code_space) if c >= len(states)]
 
     for step in range(iterations):
         temperature = initial_temperature * (1.0 - step / iterations) + 1e-6
         state = rng.choice(movable)
         move_to_free = free_codes and rng.random() < 0.3
-        trial = dict(codes)
         if move_to_free:
             new_code = rng.choice(free_codes)
-            old_code = trial[state]
-            trial[state] = new_code
+            old_code = codes[state]
+            codes[state] = new_code
         else:
             other = rng.choice(movable)
             if other == state:
                 continue
-            trial[state], trial[other] = trial[other], trial[state]
-        trial_cost = cost_of(trial)
+            codes[state], codes[other] = codes[other], codes[state]
+        trial_cost = cost_of()
         delta = trial_cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             if move_to_free:
-                free_codes.remove(trial[state])
+                free_codes.remove(new_code)
                 free_codes.append(old_code)
-            codes = trial
             current_cost = trial_cost
             if current_cost < best_cost:
-                best = dict(codes)
+                best = list(codes)
                 best_cost = current_cost
+        elif move_to_free:
+            codes[state] = old_code
+        else:
+            codes[state], codes[other] = codes[other], codes[state]
 
+    best = {state: best[index[state]] for state in order}
     if pin_reset_to_zero and best[fsm.reset_state] != 0:
         # Restore the pin by XOR-translating every code (preserves all
         # pairwise Hamming distances, hence the cost).

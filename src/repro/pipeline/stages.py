@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.arch.device import Device, get_device
+from repro.arch.device import Device, Utilization, get_device
 from repro.arch.memblock import VIRTEX2_BRAM
 from repro.arch.timing import TimingReport
 from repro.fsm.encoding import StateEncoding, make_encoding
@@ -69,6 +69,7 @@ __all__ = [
     "SimulationBundle",
     "ActivityBundle",
     "PowerBundle",
+    "ReportedFacts",
     "build_evaluation_pipeline",
     "make_stage",
     "paper_moore_output_mode",
@@ -92,7 +93,8 @@ STAGE_VERSIONS: Dict[str, str] = {
     "simulate": "3",
     "activity": "1",
     # 2: PowerBundle carries achieved_idle_fraction (simulate is a dep).
-    "power": "2",
+    # 3: PowerBundle carries the ReportedFacts record (parse is a dep).
+    "power": "3",
     # flows.eco's incremental ECO path (paper §4.2): patch the mapped ROM
     # image in place, re-simulate with the codegen replayer, re-estimate.
     "eco-patch": "1",
@@ -158,12 +160,58 @@ class ActivityBundle:
     cc_activity: Optional[RomActivity] = None
 
 
+@dataclass(frozen=True)
+class ReportedFacts:
+    """What Tables 1 and 4 and the evaluate reply read of the machine
+    and its implementations, and nothing more."""
+
+    name: str
+    states: int
+    inputs: int
+    outputs: int
+    ff_utilization: Utilization
+    ff_encoding: str
+    rom_utilization: Utilization
+    rom_config: str
+    rom_addr_bits: int
+    rom_data_bits: int
+    # Clock-control LUTs of the rom-cc mapping; None without rom-cc.
+    cc_luts: Optional[int]
+
+    @classmethod
+    def of(
+        cls,
+        fsm: FSM,
+        ff_impl: FfImplementation,
+        rom_impl: RomFsmImplementation,
+        rom_cc_impl: Optional[RomFsmImplementation],
+    ) -> "ReportedFacts":
+        return cls(
+            name=fsm.name,
+            states=fsm.num_states,
+            inputs=fsm.num_inputs,
+            outputs=fsm.num_outputs,
+            ff_utilization=ff_impl.utilization,
+            ff_encoding=ff_impl.encoding.style,
+            rom_utilization=rom_impl.utilization,
+            rom_config=rom_impl.config.name,
+            rom_addr_bits=rom_impl.layout.addr_bits,
+            rom_data_bits=rom_impl.layout.data_bits,
+            cc_luts=(
+                None if rom_cc_impl is None
+                else rom_cc_impl.clock_control.num_luts
+            ),
+        )
+
+
 @dataclass
 class PowerBundle:
-    """Power per frequency (keyed ``{freq:g}``) plus timing reports.
+    """Power per frequency (keyed ``{freq:g}``), timing reports and the
+    reported facts of the implementations.
 
-    ``achieved_idle_fraction`` is copied from ``simulate`` so that a
-    warm evaluation reads everything it reports from this one stage.
+    ``achieved_idle_fraction`` is copied from ``simulate`` and ``facts``
+    from ``parse`` and the three mapping stages, so that a warm
+    evaluation reads everything it reports from this one stage.
     """
 
     ff_power: Dict[str, PowerReport]
@@ -171,6 +219,7 @@ class PowerBundle:
     rom_cc_power: Dict[str, PowerReport]
     ff_timing: TimingReport
     rom_timing: TimingReport
+    facts: ReportedFacts
     rom_cc_timing: Optional[TimingReport] = None
     achieved_idle_fraction: float = 0.0
 
@@ -342,6 +391,9 @@ def _stage_power(ctx: StageContext) -> PowerBundle:
         rom_cc_power=rom_cc_power,
         ff_timing=ff_timing,
         rom_timing=rom_timing,
+        facts=ReportedFacts.of(
+            ctx.value("parse"), ff_impl, rom_impl, rom_cc_impl
+        ),
         rom_cc_timing=rom_cc_timing,
         achieved_idle_fraction=ctx.value("simulate").achieved_idle_fraction,
     )
@@ -393,7 +445,7 @@ def build_evaluation_pipeline(with_clock_control: bool = True) -> Pipeline:
         make_stage("activity", _stage_activity,
                ("ff-synth", "rom-map", "simulate") + cc, ()),
         make_stage("power", _stage_power,
-               ("ff-synth", "rom-map", "simulate", "activity") + cc,
+               ("parse", "ff-synth", "rom-map", "simulate", "activity") + cc,
                ("frequencies", "device", "params", "with_clock_control")),
     ]
     return Pipeline(stages)

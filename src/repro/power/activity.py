@@ -103,19 +103,24 @@ def extract_ff_activity(
     )
 
 
+def _fanouts(mapping) -> Dict[str, int]:
+    return {} if mapping is None else mapping.fanout_counts()
+
+
 def _aux_mapping_nets(
-    mapping, toggles: Dict[str, int], cycles: int, extra_loads: Dict[str, int],
-    prefix: str,
+    mapping, fanouts: Dict[str, int], toggles: Dict[str, int], cycles: int,
+    extra_loads: Dict[str, int], prefix: str,
 ) -> Tuple[List[NetActivity], Dict[str, float]]:
     """Nets and LUT activities for an auxiliary LUT mapping (mux/Moore/EN).
 
-    ``extra_loads`` adds loads for nets that leave the mapping (e.g. a
-    mux output net also drives a BRAM address pin).  Primary-input nets
-    of the mapping are skipped — the caller accounts them at top level.
+    ``fanouts`` is the mapping's :meth:`fanout_counts`, which the caller
+    has already taken.  ``extra_loads`` adds loads for nets that leave
+    the mapping (e.g. a mux output net also drives a BRAM address pin).
+    Primary-input nets of the mapping are skipped — the caller accounts
+    them at top level.
     """
     nets: List[NetActivity] = []
     lut_activity: Dict[str, float] = {}
-    fanouts = mapping.fanout_counts()
     # Iterate the LUT list (topological emission order), not a set of
     # names: net order fixes the float accumulation order downstream,
     # and set order varies with the interpreter's hash seed — worker
@@ -144,24 +149,21 @@ def extract_rom_activity(
     nets: List[NetActivity] = []
     lut_activity: Dict[str, float] = {}
 
-    # Loads each top-level signal drives.
-    def aux_input_loads(mapping, net: str) -> int:
-        if mapping is None:
-            return 0
-        return mapping.fanout_counts().get(net, 0)
-
     cc = impl.clock_control
-    cc_mapping = cc.mapping if cc is not None else None
+    # Each auxiliary mapping's fanout counts, taken once per call.
+    mux_fanouts = _fanouts(impl.mux_mapping)
+    moore_fanouts = _fanouts(impl.moore_output_mapping)
+    cc_fanouts = _fanouts(cc.mapping if cc is not None else None)
 
     # Primary inputs.
     for i in range(fsm.num_inputs):
         name = f"in{i}"
         loads = 0
         if impl.compaction is not None:
-            loads += aux_input_loads(impl.mux_mapping, name)
+            loads += mux_fanouts.get(name, 0)
         else:
             loads += 1  # direct BRAM address pin
-        loads += aux_input_loads(cc_mapping, name)
+        loads += cc_fanouts.get(name, 0)
         if loads:
             alpha = trace.signal_toggles.get(name, 0) / cycles
             nets.append(NetActivity(name=name, fanout=loads,
@@ -174,14 +176,14 @@ def extract_rom_activity(
         if bit < layout.output_bits:
             loads = 1  # leaves the FSM toward the rest of the design
             if cc is not None and cc.compares_outputs:
-                loads += aux_input_loads(cc_mapping, f"fb_out{bit}")
+                loads += cc_fanouts.get(f"fb_out{bit}", 0)
         else:
             state_bit = bit - layout.output_bits
             bname = impl.encoding.bit_name(state_bit)
             loads = 1  # BRAM address pin (feedback)
-            loads += aux_input_loads(impl.mux_mapping, bname)
-            loads += aux_input_loads(impl.moore_output_mapping, bname)
-            loads += aux_input_loads(cc_mapping, bname)
+            loads += mux_fanouts.get(bname, 0)
+            loads += moore_fanouts.get(bname, 0)
+            loads += cc_fanouts.get(bname, 0)
         nets.append(NetActivity(name=name, fanout=loads,
                                 toggles_per_cycle=alpha))
 
@@ -192,7 +194,8 @@ def extract_rom_activity(
             for j in range(impl.compaction.width)
         }
         extra, acts = _aux_mapping_nets(
-            impl.mux_mapping, trace.mux_toggles, cycles, mux_out_nets, "mux"
+            impl.mux_mapping, mux_fanouts, trace.mux_toggles, cycles,
+            mux_out_nets, "mux",
         )
         nets.extend(extra)
         lut_activity.update(acts)
@@ -202,15 +205,16 @@ def extract_rom_activity(
             for o in range(fsm.num_outputs)
         }
         extra, acts = _aux_mapping_nets(
-            impl.moore_output_mapping, trace.moore_toggles, cycles, out_nets,
-            "moore",
+            impl.moore_output_mapping, moore_fanouts, trace.moore_toggles,
+            cycles, out_nets, "moore",
         )
         nets.extend(extra)
         lut_activity.update(acts)
     if cc is not None:
         en_nets = {cc.mapping.outputs["en"]: 1}
         extra, acts = _aux_mapping_nets(
-            cc.mapping, trace.control_toggles, cycles, en_nets, "ctl"
+            cc.mapping, cc_fanouts, trace.control_toggles, cycles, en_nets,
+            "ctl",
         )
         nets.extend(extra)
         lut_activity.update(acts)

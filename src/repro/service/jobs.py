@@ -196,7 +196,6 @@ def evaluate_payload(result: EvaluationResult) -> Dict[str, Any]:
     integration tests compare byte-for-byte against the direct
     :func:`~repro.flows.flow.evaluate_benchmark` path.
     """
-    fsm = result.fsm
     frequencies = sorted(result.ff_power, key=float)
     power = {
         key: {
@@ -219,25 +218,25 @@ def evaluate_payload(result: EvaluationResult) -> Dict[str, Any]:
         }
         for key in frequencies
     }
-    rom = result.rom_impl
+    facts = result.facts
     return {
-        "name": fsm.name,
+        "name": facts.name,
         "fsm": {
-            "states": fsm.num_states,
-            "inputs": fsm.num_inputs,
-            "outputs": fsm.num_outputs,
+            "states": facts.states,
+            "inputs": facts.inputs,
+            "outputs": facts.outputs,
         },
         "ff": {
-            "luts": result.ff_impl.num_luts,
-            "ffs": result.ff_impl.num_ffs,
-            "encoding": result.ff_impl.encoding.style,
+            "luts": facts.ff_utilization.luts,
+            "ffs": facts.ff_utilization.ffs,
+            "encoding": facts.ff_encoding,
         },
         "rom": {
-            "bram_config": rom.config.name,
-            "brams": rom.num_brams,
-            "addr_bits": rom.layout.addr_bits,
-            "data_bits": rom.layout.data_bits,
-            "lut_overhead": rom.utilization.luts,
+            "bram_config": facts.rom_config,
+            "brams": facts.rom_utilization.brams,
+            "addr_bits": facts.rom_addr_bits,
+            "data_bits": facts.rom_data_bits,
+            "lut_overhead": facts.rom_utilization.luts,
         },
         "power_mw": power,
         "saving_percent": savings,

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.suite import load_benchmark
 from repro.flows.flow import evaluate_benchmark, evaluate_benchmark_detailed
 from repro.pipeline.cache import ArtifactCache
+from repro.service.jobs import parse_job, run_job
 
 KW = dict(num_cycles=150, seed=11)
 
@@ -30,6 +31,20 @@ def cache(tmp_path):
 
 def fingerprints(report):
     return {r.stage: r.fingerprint for r in report.records}
+
+
+def record_loads(monkeypatch, records):
+    """The stages whose cached values get unpickled, in load order."""
+    stage_of = {r.key: r.stage for r in records}
+    loaded = []
+    real_load = ArtifactCache._load
+
+    def recording_load(self, key, *args):
+        loaded.append(stage_of[key])
+        return real_load(self, key, *args)
+
+    monkeypatch.setattr(ArtifactCache, "_load", recording_load)
+    return loaded
 
 
 class TestWarmCache:
@@ -57,23 +72,24 @@ class TestWarmCache:
     def test_warm_run_unpickles_only_what_it_reports(self, cache,
                                                      monkeypatch):
         _, cold = evaluate_benchmark_detailed("dk14", cache=cache, **KW)
-        stage_of = {r.key: r.stage for r in cold.records}
-        loaded = []
-        real_load = ArtifactCache._load
-
-        def recording_load(self, key, *args):
-            loaded.append(stage_of[key])
-            return real_load(self, key, *args)
-
-        monkeypatch.setattr(ArtifactCache, "_load", recording_load)
+        loaded = record_loads(monkeypatch, cold.records)
         warm = evaluate_benchmark("dk14", cache=cache, **KW)
         monkeypatch.undo()
-        assert sorted(loaded) == sorted(
-            ["parse", "ff-synth", "rom-map", "rom-cc", "power"]
-        )
+        assert loaded == ["power"]
         plain = evaluate_benchmark("dk14", **KW)
         assert warm.achieved_idle_fraction == plain.achieved_idle_fraction
         assert warm.cc_saving_percent() == plain.cc_saving_percent()
+
+    def test_warm_service_job_unpickles_only_power(self, cache,
+                                                   monkeypatch):
+        job = parse_job({"benchmark": "dk14", **KW})
+        cold_reply, cold = run_job(job, cache=cache)
+        loaded = record_loads(monkeypatch, cold)
+        warm_reply, warm = run_job(job, cache=cache)
+        monkeypatch.undo()
+        assert all(r.cache_hit for r in warm)
+        assert loaded == ["power"]
+        assert warm_reply == cold_reply
 
     def test_results_match_uncached_run(self, cache):
         _, cached = evaluate_benchmark_detailed("dk14", cache=cache, **KW)
